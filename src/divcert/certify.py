@@ -15,6 +15,13 @@ data:
 * the truncation splitting second-order dominance into a first-order
   step followed by an equal-means step.
 
+The certificate and the coupling are two views of one D: a single
+private step runs the checks and the transfer product in integer
+arithmetic (numerators over one common denominator L), the coupling
+reads D/n straight off those integers and the peel then consumes them.
+`certify_bundle` returns all three artifacts from that one product;
+`certify_div1` and `mps_coupling` are thin wrappers over the same steps.
+
 All constructions are deterministic: the transfer chain always picks the
 smallest deficient index and the smallest surplus index after it, and
 the peeling always extracts the lexicographically smallest perfect
@@ -388,9 +395,15 @@ def birkhoff_decompose(D: DoublyStochasticMatrix) -> PermutationCertificate:
     return PermutationCertificate(n=D.n, terms=tuple(terms))
 
 
-def _certified_refinement(
+def _transfer_product(
     xi: SimpleDist, eta: SimpleDist, cap: int
-) -> tuple[UniformGrid, UniformGrid]:
+) -> tuple[UniformGrid, UniformGrid, list[list[int]], int]:
+    """The one construction behind the certificate and the coupling.
+
+    Checks equal means and second-order dominance, refines both sides to
+    the common uniform grids a and b, and multiplies out the transfer
+    chain: returns (a, b, rows, L) with a = D b for D = rows/L.
+    """
     mean_xi = xi.mean()
     mean_eta = eta.mean()
     if mean_xi != mean_eta:
@@ -398,7 +411,45 @@ def _certified_refinement(
     alpha = ssd_violation(xi, eta)
     if alpha is not None:
         raise SsdViolatedError(alpha)
-    return common_refinement(xi, eta, cap)
+    a, b = common_refinement(xi, eta, cap)
+    rows, L = _scaled_transfer_rows(a, b)
+    return a, b, rows, L
+
+
+def _coupling(
+    a: UniformGrid, b: UniformGrid, rows: list[list[int]], L: int
+) -> MartingaleCoupling:
+    """C = D/n, read straight off the integer rows (left untouched)."""
+    scale = a.n * L
+    matrix = tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
+    return MartingaleCoupling(n=a.n, matrix=matrix, row_values=a.values, col_values=b.values)
+
+
+def _certificate(
+    a: UniformGrid, b: UniformGrid, rows: list[list[int]], L: int
+) -> tuple[PermutationCertificate, JointDist]:
+    """Peel D = rows/L (consuming rows) and build the witnessing joint law."""
+    cert = PermutationCertificate(n=a.n, terms=tuple(_peel_scaled(rows, L)))
+    share = Fraction(1, a.n)
+    joint = JointDist.from_pairs(
+        (tuple(b.values[perm[i]] for perm, _ in cert.terms), share) for i in range(a.n)
+    )
+    return cert, joint
+
+
+def certify_bundle(
+    xi: SimpleDist, eta: SimpleDist, cap: int = DEFAULT_GRID_CAP
+) -> tuple[PermutationCertificate, JointDist, MartingaleCoupling]:
+    """The certificate, its joint law and the martingale coupling at once.
+
+    Equal to ``(*certify_div1(xi, eta, cap), mps_coupling(xi, eta, cap))``
+    but runs the checks and the transfer product once: the coupling is
+    D/n and the certificate is the Birkhoff peel of the same D.
+    """
+    a, b, rows, L = _transfer_product(xi, eta, cap)
+    coupling = _coupling(a, b, rows, L)  # before the peel consumes rows
+    cert, joint = _certificate(a, b, rows, L)
+    return cert, joint, coupling
 
 
 def certify_div1(
@@ -413,15 +464,7 @@ def certify_div1(
     copy of eta (slot i carries the vector of b[perm_k[i]] with
     probability 1/n).  The certificate reconstructs xi exactly.
     """
-    a, b = _certified_refinement(xi, eta, cap)
-    rows, L = _scaled_transfer_rows(a, b)
-    cert = PermutationCertificate(n=a.n, terms=tuple(_peel_scaled(rows, L)))
-    n = a.n
-    share = Fraction(1, n)
-    joint = JointDist.from_pairs(
-        (tuple(b.values[perm[i]] for perm, _ in cert.terms), share) for i in range(n)
-    )
-    return cert, joint
+    return _certificate(*_transfer_product(xi, eta, cap))
 
 
 def mps_coupling(
@@ -430,13 +473,7 @@ def mps_coupling(
     """Joint law of (xi, eta) on the common refinement under which eta is
     xi plus conditionally-mean-zero noise: C = D/n, whose rows average
     back to xi's grid values exactly."""
-    a, b = _certified_refinement(xi, eta, cap)
-    D = build_doubly_stochastic(a, b)
-    n = a.n
-    matrix = tuple(tuple(x / n for x in row) for row in D.rows)
-    return MartingaleCoupling(
-        n=n, matrix=matrix, row_values=a.values, col_values=b.values
-    )
+    return _coupling(*_transfer_product(xi, eta, cap))
 
 
 def lift_delta_gamma(

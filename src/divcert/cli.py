@@ -21,7 +21,7 @@ from .certify import (
     CertificationError,
     MeansDifferError,
     SsdViolatedError,
-    certify_div1,
+    certify_bundle,
     decompose_ssd,
     lift_delta_gamma,
     mps_coupling,
@@ -104,8 +104,7 @@ def cmd_certify(args) -> int:
     xi = load_dist(args.input_xi)
     eta = load_dist(args.input_eta)
     try:
-        cert, joint = certify_div1(xi, eta)
-        coupling = mps_coupling(xi, eta)
+        cert, joint, coupling = certify_bundle(xi, eta)
     except MeansDifferError as exc:
         _emit(dumps({"certified": False, "reason": "means differ",
                      "mean_xi": rational_obj(exc.mean_xi),

@@ -30,14 +30,19 @@ def as_rational(x) -> Fraction:
 
     Accepts Fractions, ints, strings ("p/q" or decimal, both parsed
     exactly) and finite floats (converted from their exact binary value,
-    not re-parsed through decimal text).
+    not re-parsed through decimal text).  Booleans are not numbers here.
     """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"cannot convert bool {x!r} to a rational")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"cannot represent non-finite value {x!r}")
@@ -120,11 +125,6 @@ class SimpleDist:
         """P(value < x) - the left-continuous distribution function."""
         x = as_rational(x)
         return sum((p for v, p in self.atoms if v < x), Fraction(0))
-
-    def prob_at_most(self, x) -> Fraction:
-        """P(value <= x), the right limit of the CDF at x."""
-        x = as_rational(x)
-        return sum((p for v, p in self.atoms if v <= x), Fraction(0))
 
     def quantile(self, u) -> Fraction:
         """Lower quantile inf{x : P(value < x or value = x) >= u}, u in (0, 1]."""

@@ -94,18 +94,6 @@ def es_curve(d: SimpleDist) -> ESCurve:
     return ESCurve(tuple(points))
 
 
-def merged_breakpoints(xi: SimpleDist, eta: SimpleDist) -> tuple[Fraction, ...]:
-    """Union of the cumulative-probability breakpoints of both
-    distributions, sorted, always ending at 1."""
-    levels = set()
-    for d in (xi, eta):
-        cum = Fraction(0)
-        for _, prob in d.atoms:
-            cum += prob
-            levels.add(cum)
-    return tuple(sorted(levels))
-
-
 def _gap_at_breakpoints(
     xi: SimpleDist, eta: SimpleDist
 ) -> list[tuple[Fraction, Fraction]]:

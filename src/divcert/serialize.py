@@ -54,7 +54,10 @@ def dist_from_obj(obj) -> SimpleDist:
     for entry in atoms:
         if not isinstance(entry, dict) or "v" not in entry or "p" not in entry:
             raise ValueError("each atom needs 'v' and 'p' fields")
-        pairs.append((as_rational(entry["v"]), as_rational(entry["p"])))
+        try:
+            pairs.append((as_rational(entry["v"]), as_rational(entry["p"])))
+        except TypeError as exc:  # JSON null, true/false, a list or an object
+            raise ValueError(f"atom {json.dumps(entry)}: {exc}") from None
     return SimpleDist.from_pairs(pairs)
 
 

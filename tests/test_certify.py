@@ -19,6 +19,7 @@ from divcert import (
     UniformGrid,
     birkhoff_decompose,
     build_doubly_stochastic,
+    certify_bundle,
     certify_div1,
     check_fsd,
     check_ssd,
@@ -161,23 +162,6 @@ class TestBirkhoff:
         xi, eta = helpers.mps_pair(rng, base_atoms=6, max_doublings=2)
         assert certify_div1(xi, eta)[0] == certify_div1(xi, eta)[0]
 
-    def test_backends_build_identical_certificates(self):
-        from divcert import matching
-
-        if len(matching.available_backends()) < 2:
-            pytest.skip("compiled backend not built")
-        rng = random.Random(14)
-        pairs = [helpers.mps_pair(rng, base_atoms=5, max_doublings=2) for _ in range(20)]
-        active = matching.active_backend()
-        try:
-            results = {}
-            for backend in matching.available_backends():
-                matching.set_active_backend(backend)
-                results[backend] = [certify_div1(xi, eta)[0] for xi, eta in pairs]
-        finally:
-            matching.set_active_backend(active)
-        assert results["python"] == results["compiled"]
-
     def test_terms_are_byte_identical_to_the_recorded_digest(self):
         # Pins every peel round's lex-min matching and weight: the digest
         # was recorded from the cold-start kernel, which re-solved each
@@ -255,6 +239,17 @@ class TestCertifyDiv1:
             PermutationCertificate(
                 n=1, terms=(((0,), HALF), ((0,), HALF))
             )  # exceeds the term bound for n=1
+
+
+class TestCertifyBundle:
+    def test_parts_equal_the_separate_constructions(self):
+        rng = random.Random(8)
+        pairs = [helpers.mps_pair(rng, base_atoms=5, max_doublings=2) for _ in range(20)]
+        pairs += [(dirac(2), COIN13), (dirac(5), dirac(5))]
+        for xi, eta in pairs:
+            cert, joint, coupling = certify_bundle(xi, eta)
+            assert (cert, joint) == certify_div1(xi, eta)
+            assert coupling == mps_coupling(xi, eta)
 
 
 class TestMpsCoupling:

@@ -1,13 +1,22 @@
 """Command-line interface: exit codes, reports, wire outputs."""
 
 import csv
+import hashlib
 import io
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from divcert import SimpleDist, dirac, verify_div1_certificate, verify_div2_instance
+import helpers
+from divcert import (
+    SimpleDist,
+    common_refinement,
+    dirac,
+    verify_div1_certificate,
+    verify_div2_instance,
+)
 from divcert.cli import main
 from divcert.serialize import (
     certificate_from_obj,
@@ -125,6 +134,27 @@ class TestCertify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reason"] == "ssd violated at alpha=1/2"
 
+    def test_bundles_are_byte_identical_to_the_recorded_digest(self, tmp_path):
+        # Pins every byte `certify --out` writes: the terms, the joint law
+        # and the coupling.  The digest was recorded when the certificate
+        # and the coupling were still built by two separate constructions.
+        rng = random.Random(4242)
+        pairs = [helpers.mps_pair(rng) for _ in range(24)]
+        pairs += [helpers.spread_pair(rng, 8, 3) for _ in range(2)]
+        assert [common_refinement(xi, eta)[0].n for xi, eta in pairs[-2:]] == [64] * 2
+        digest = hashlib.sha256()
+        for k, (xi, eta) in enumerate(pairs):
+            xi_path = tmp_path / f"xi{k}.json"
+            eta_path = tmp_path / f"eta{k}.json"
+            out_path = tmp_path / f"bundle{k}.json"
+            xi_path.write_text(dumps(dist_to_obj(xi)))
+            eta_path.write_text(dumps(dist_to_obj(eta)))
+            assert main(["certify", str(xi_path), str(eta_path), "--out", str(out_path)]) == 0
+            digest.update(out_path.read_bytes())
+        assert digest.hexdigest() == (
+            "835b1a308c97697d811615b965bf7da50b3d7ab94d29c2282f5be0bbc33e03ce"
+        )
+
 
 class TestOtherCommands:
     def test_kantorovich(self, files, capsys):
@@ -184,6 +214,46 @@ class TestOtherCommands:
         assert main(["quantize", str(third), "--denominator", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == dist_to_obj(dirac(F(1, 2)))
+
+
+class TestBadInput:
+    """Malformed numbers are input errors: exit 2 with an `error:` line."""
+
+    @staticmethod
+    def _atoms_file(tmp_path, atoms):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"atoms": atoms}))
+        return str(path)
+
+    @staticmethod
+    def _assert_input_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_null_value(self, files, capsys):
+        bad = self._atoms_file(files["tmp"], [{"v": None, "p": "1"}])
+        assert main(["check", "ssd", files["zero"], bad]) == 2
+        self._assert_input_error(capsys)
+
+    def test_zero_denominator_value(self, files, capsys):
+        bad = self._atoms_file(files["tmp"], [{"v": "1/0", "p": "1"}])
+        assert main(["check", "ssd", files["zero"], bad]) == 2
+        self._assert_input_error(capsys)
+
+    def test_zero_denominator_alpha(self, files, capsys):
+        assert main(["es", files["coin"], "--alpha", "1/0"]) == 2
+        self._assert_input_error(capsys)
+
+    def test_zero_denominator_weight(self, files, capsys):
+        assert main(["mix", files["zero"], files["two"], "--weights", "1/0,1"]) == 2
+        self._assert_input_error(capsys)
+
+    def test_json_booleans_are_not_numbers(self, files, capsys):
+        for atom in ({"v": True, "p": "1"}, {"v": "1", "p": True}):
+            bad = self._atoms_file(files["tmp"], [atom])
+            assert main(["es", bad, "--alpha", "1"]) == 2
+            self._assert_input_error(capsys)
 
 
 class TestSampleIngestion:

@@ -62,6 +62,10 @@ class TestRational:
             as_rational("spam")
         with pytest.raises(TypeError):
             as_rational(None)
+        with pytest.raises(TypeError):
+            as_rational(True)
+        with pytest.raises(ValueError):
+            as_rational("1/0")
 
 
 class TestSimpleDist:

@@ -1,9 +1,7 @@
-"""Matching kernel: both backends against a brute-force oracle."""
+"""Matching kernel against a brute-force oracle."""
 
 import itertools
 import random
-
-import pytest
 
 from divcert import matching
 
@@ -33,35 +31,34 @@ def random_adjacency(rng, n, solvable=True):
     return [sorted(cols) for cols in adj]
 
 
-@pytest.mark.parametrize("backend", matching.available_backends())
 class TestAgainstBruteForce:
-    def test_random_graphs(self, backend):
+    def test_random_graphs(self):
         rng = random.Random(123)
         for _ in range(1500):
             n = rng.randint(1, 6)
             adj = random_adjacency(rng, n, solvable=rng.random() < 0.7)
             expected = brute_lex_min(adj)
-            got = matching.lex_min_perfect_matching(adj, backend=backend)
+            got = matching.lex_min_perfect_matching(adj)
             assert got == expected
 
-    def test_permutation_support(self, backend):
+    def test_permutation_support(self):
         rng = random.Random(5)
         for _ in range(100):
             n = rng.randint(1, 12)
             perm = list(range(n))
             rng.shuffle(perm)
             adj = [[perm[i]] for i in range(n)]
-            assert matching.lex_min_perfect_matching(adj, backend=backend) == perm
+            assert matching.lex_min_perfect_matching(adj) == perm
 
-    def test_no_matching(self, backend):
-        assert matching.lex_min_perfect_matching([[0], [0]], backend=backend) is None
-        assert matching.lex_min_perfect_matching([[], [0]], backend=backend) is None
+    def test_no_matching(self):
+        assert matching.lex_min_perfect_matching([[0], [0]]) is None
+        assert matching.lex_min_perfect_matching([[], [0]]) is None
 
-    def test_complete_graph_is_identity(self, backend):
+    def test_complete_graph_is_identity(self):
         adj = [list(range(5)) for _ in range(5)]
-        assert matching.lex_min_perfect_matching(adj, backend=backend) == [0, 1, 2, 3, 4]
+        assert matching.lex_min_perfect_matching(adj) == [0, 1, 2, 3, 4]
 
-    def test_hint_from_supergraph(self, backend):
+    def test_hint_from_supergraph(self):
         # G' is G minus some edges of G's lex-min matching M (as in a peel
         # round); the hint M must not change the lex-min matching of G'.
         rng = random.Random(321)
@@ -81,19 +78,19 @@ class TestAgainstBruteForce:
             expected = brute_lex_min(smaller)
             if expected is None:
                 continue
-            got = matching.lex_min_perfect_matching(smaller, backend=backend, previous=hint)
+            got = matching.lex_min_perfect_matching(smaller, previous=hint)
             assert got == expected
             checked += 1
             diverged_at_row_0 += expected[0] != hint[0]
         assert diverged_at_row_0 > 50
 
-    def test_hint_prefix_diverges_at_row_0(self, backend):
+    def test_hint_prefix_diverges_at_row_0(self):
         # K3 has lex-min [0, 1, 2]; without the edge (0, 0) rows 0 and 1 move.
         smaller = [[1, 2], [0, 1, 2], [0, 1, 2]]
-        got = matching.lex_min_perfect_matching(smaller, backend=backend, previous=[0, 1, 2])
+        got = matching.lex_min_perfect_matching(smaller, previous=[0, 1, 2])
         assert got == [1, 0, 2]
 
-    def test_hint_with_arbitrary_edges_removed(self, backend):
+    def test_hint_with_arbitrary_edges_removed(self):
         # The hint only requires G' to be a subgraph of G: unmatched edges
         # may go too, and G' may have no perfect matching at all.
         rng = random.Random(55)
@@ -102,32 +99,10 @@ class TestAgainstBruteForce:
             adj = random_adjacency(rng, n)
             hint = brute_lex_min(adj)
             smaller = [[j for j in cols if rng.random() < 0.7] for cols in adj]
-            got = matching.lex_min_perfect_matching(smaller, backend=backend, previous=hint)
+            got = matching.lex_min_perfect_matching(smaller, previous=hint)
             assert got == brute_lex_min(smaller)
 
 
-def test_backends_agree_on_large_instances():
-    if len(matching.available_backends()) < 2:
-        pytest.skip("compiled backend not built")
-    rng = random.Random(99)
-    for _ in range(60):
-        n = rng.randint(10, 60)
-        adj = random_adjacency(rng, n, solvable=rng.random() < 0.8)
-        a = matching.lex_min_perfect_matching(adj, backend="python")
-        b = matching.lex_min_perfect_matching(adj, backend="compiled")
-        assert a == b
 
-
-def test_backend_selection():
-    active = matching.active_backend()
-    assert active in matching.available_backends()
-    with pytest.raises(ValueError):
-        matching.set_active_backend("turbo")
-    matching.set_active_backend(active)
-
-
-def test_csr_builder():
-    n, indptr, indices = matching.csr_from_adjacency([[1, 2], [], [0]])
-    assert n == 3
-    assert list(indptr) == [0, 2, 2, 3]
-    assert list(indices) == [1, 2, 0]
+def test_active_backend_names_the_one_kernel():
+    assert matching.active_backend() == "python"
