@@ -22,6 +22,11 @@ reads D/n straight off those integers and the peel then consumes them.
 `certify_bundle` returns all three artifacts from that one product;
 `certify_div1` and `mps_coupling` are thin wrappers over the same steps.
 
+The validators and `PermutationCertificate.combine` follow the same
+idiom: each vector of Fractions is brought to one common denominator,
+sums and comparisons run on the integer numerators, and Fractions are
+made only for a result or an error message.
+
 All constructions are deterministic: the transfer chain always picks the
 smallest deficient index and the smallest surplus index after it, and
 the peeling always extracts the lexicographically smallest perfect
@@ -34,6 +39,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import add, mul
 
 from .dist import (
     DEFAULT_GRID_CAP,
@@ -41,6 +48,7 @@ from .dist import (
     SimpleDist,
     UniformGrid,
     common_refinement,
+    common_scale,
 )
 from .dominance import check_majorization
 from .matching import lex_min_perfect_matching
@@ -91,6 +99,11 @@ class TTransform:
         vec[self.j] = vj + self.s * (vi - vj)
 
 
+def _cell_denominator(rows) -> int:
+    """Least common denominator of every cell of a matrix."""
+    return math.lcm(*{x.denominator for row in rows for x in row})
+
+
 @dataclass(frozen=True)
 class DoublyStochasticMatrix:
     """Square matrix of exact rationals with all row and column sums 1."""
@@ -99,19 +112,19 @@ class DoublyStochasticMatrix:
 
     def __post_init__(self):
         n = len(self.rows)
-        col_sums = [Fraction(0)] * n
+        den = _cell_denominator(self.rows)
+        col_sums = [0] * n
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            total = Fraction(0)
-            for j, x in enumerate(row):
-                if x < 0:
-                    raise ValueError("entries must be non-negative")
-                total += x
-                col_sums[j] += x
-            if total != 1:
-                raise ValueError(f"row sum {total} is not 1")
-        if any(c != 1 for c in col_sums):
+            nums = [x.numerator * (den // x.denominator) for x in row]
+            if min(nums) < 0:
+                raise ValueError("entries must be non-negative")
+            total = sum(nums)
+            if total != den:
+                raise ValueError(f"row sum {Fraction(total, den)} is not 1")
+            col_sums = list(map(add, col_sums, nums))
+        if any(c != den for c in col_sums):
             raise ValueError("column sums must all be 1")
 
     @property
@@ -119,8 +132,15 @@ class DoublyStochasticMatrix:
         return len(self.rows)
 
     def apply(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        den = _cell_denominator(self.rows)
+        vnums, vden = common_scale(vec)
+        scale = den * vden
         return tuple(
-            sum((x * v for x, v in zip(row, vec)), Fraction(0)) for row in self.rows
+            Fraction(
+                sum(map(mul, (x.numerator * (den // x.denominator) for x in row), vnums)),
+                scale,
+            )
+            for row in self.rows
         )
 
 
@@ -164,11 +184,13 @@ class PermutationCertificate:
         """Slot-wise weighted combination sum_k w_k * values[perm_k[i]]."""
         if len(values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(values)}")
-        out = [Fraction(0)] * self.n
-        for perm, weight in self.terms:
-            for i, src in enumerate(perm):
-                out[i] += weight * values[src]
-        return tuple(out)
+        wnums, wden = common_scale(self.weights)
+        vnums, vden = common_scale(values)
+        acc = [0] * self.n
+        for (perm, _), wn in zip(self.terms, wnums):
+            acc = [a + wn * vnums[src] for a, src in zip(acc, perm)]
+        scale = wden * vden
+        return tuple(Fraction(a, scale) for a in acc)
 
     def as_matrix(self) -> DoublyStochasticMatrix:
         """The convex combination of permutation matrices, reassembled."""
@@ -192,26 +214,30 @@ class MartingaleCoupling:
 
     def __post_init__(self):
         n = self.n
+        if n < 1:
+            raise ValueError("grid size must be positive")
         if len(self.matrix) != n or len(self.row_values) != n or len(self.col_values) != n:
             raise ValueError("matrix and value grids must all have size n")
-        share = Fraction(1, n)
-        col_sums = [Fraction(0)] * n
+        # cell c = cnum/den and column value v = vnum/vden: a row sums to
+        # 1/n iff n * sum(cnum) == den, and it averages back to its row
+        # value r iff n * sum(cnum * vnum) == r * den * vden
+        den = _cell_denominator(self.matrix)
+        vnums, vden = common_scale(self.col_values)
+        col_sums = [0] * n
         for i, row in enumerate(self.matrix):
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            row_sum = Fraction(0)
-            row_mean = Fraction(0)
-            for j, c in enumerate(row):
-                if c < 0:
-                    raise ValueError("entries must be non-negative")
-                row_sum += c
-                col_sums[j] += c
-                row_mean += c * self.col_values[j]
-            if row_sum != share:
-                raise ValueError(f"row {i} sums to {row_sum}, not 1/{n}")
-            if row_mean * n != self.row_values[i]:
+            nums = [c.numerator * (den // c.denominator) for c in row]
+            if min(nums) < 0:
+                raise ValueError("entries must be non-negative")
+            row_sum = sum(nums)
+            if row_sum * n != den:
+                raise ValueError(f"row {i} sums to {Fraction(row_sum, den)}, not 1/{n}")
+            r = self.row_values[i]
+            if n * sum(map(mul, nums, vnums)) * r.denominator != r.numerator * den * vden:
                 raise ValueError(f"martingale property fails on row {i}")
-        if any(c != share for c in col_sums):
+            col_sums = list(map(add, col_sums, nums))
+        if any(c * n != den for c in col_sums):
             raise ValueError(f"column sums must all be 1/{n}")
 
 
@@ -428,11 +454,25 @@ def _coupling(
 def _certificate(
     a: UniformGrid, b: UniformGrid, rows: list[list[int]], L: int
 ) -> tuple[PermutationCertificate, JointDist]:
-    """Peel D = rows/L (consuming rows) and build the witnessing joint law."""
+    """Peel D = rows/L (consuming rows) and build the witnessing joint law.
+
+    Slot i carries the vector (b[perm_k[i]])_k with probability 1/n.  The
+    grid b is sorted, so the ranks of its distinct values order and merge
+    these vectors exactly as the values do, as tuples of ints.
+    """
     cert = PermutationCertificate(n=a.n, terms=tuple(_peel_scaled(rows, L)))
-    share = Fraction(1, a.n)
-    joint = JointDist.from_pairs(
-        (tuple(b.values[perm[i]] for perm, _ in cert.terms), share) for i in range(a.n)
+    distinct: list[Fraction] = []
+    rank = []
+    for v in b.values:
+        if not distinct or v != distinct[-1]:
+            distinct.append(v)
+        rank.append(len(distinct) - 1)
+    slots = sorted(zip(*([rank[src] for src in perm] for perm, _ in cert.terms)))
+    joint = JointDist(
+        tuple(
+            (tuple(distinct[r] for r in key), Fraction(sum(1 for _ in group), a.n))
+            for key, group in groupby(slots)
+        )
     )
     return cert, joint
 

@@ -5,6 +5,12 @@ operation here is exact, so equality of canonical distributions is
 equality of the distributions themselves.  No floating point enters the
 core: machine reals are converted to their exact binary value on ingest
 and decimal strings parse as exact decimal fractions.
+
+Sums over many rationals run on one common integer scale: each vector of
+Fractions is brought to its least common denominator (`common_scale`),
+the sums, merges and comparisons run on the integer numerators, and
+Fractions are made only for the final result.  A Fraction sum would
+normalize by a gcd at every step and hash every value it merges.
 """
 
 from __future__ import annotations
@@ -50,16 +56,31 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to a rational")
 
 
+def common_scale(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of the rationals `xs` over their least common denominator,
+    and that denominator: x_i == nums[i] / den for every i."""
+    den = math.lcm(*{x.denominator for x in xs})
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def simplex_weights(weights: Sequence, size: int | None = None) -> tuple[Fraction, ...]:
     """Validate and convert a weight vector: entries >= 0, exact sum 1."""
     ws = tuple(as_rational(w) for w in weights)
     if size is not None and len(ws) != size:
         raise ValueError(f"expected {size} weights, got {len(ws)}")
-    if any(w < 0 for w in ws):
+    nums, den = common_scale(ws)
+    if any(x < 0 for x in nums):
         raise ValueError("weights must be non-negative")
-    if sum(ws) != 1:
+    if sum(nums) != den:
         raise ValueError("weights must sum to exactly 1")
     return ws
+
+
+def _dist_on_scale(mass: dict[int, int], vden: int, pden: int) -> SimpleDist:
+    """The distribution with probability mass[k]/pden at each value k/vden."""
+    return SimpleDist(
+        tuple((Fraction(k, vden), Fraction(mass[k], pden)) for k in sorted(mass))
+    )
 
 
 @dataclass(frozen=True)
@@ -249,12 +270,17 @@ def mixture(ds: Sequence[SimpleDist], weights: Sequence) -> SimpleDist:
     Zero-weight components drop out entirely.
     """
     ws = simplex_weights(weights, len(ds))
-    pairs = []
-    for d, w in zip(ds, ws):
-        if w == 0:
-            continue
-        pairs.extend((v, w * p) for v, p in d.atoms)
-    return SimpleDist.from_pairs(pairs)
+    live = [(d, w) for d, w in zip(ds, ws) if w]
+    wnums, wden = common_scale([w for _, w in live])
+    atoms = [atom for d, _ in live for atom in d.atoms]
+    vden = math.lcm(*{v.denominator for v, _ in atoms})
+    pden = math.lcm(*{p.denominator for _, p in atoms})
+    mass: dict[int, int] = {}
+    for (d, _), wn in zip(live, wnums):
+        for v, p in d.atoms:
+            k = v.numerator * (vden // v.denominator)
+            mass[k] = mass.get(k, 0) + wn * p.numerator * (pden // p.denominator)
+    return _dist_on_scale(mass, vden, wden * pden)
 
 
 @dataclass(frozen=True)
@@ -321,15 +347,47 @@ class JointDist:
     def marginals(self) -> tuple[SimpleDist, ...]:
         return tuple(self.marginal(i) for i in range(self.m))
 
+    def mixture_of_marginals(self, weights: Sequence) -> SimpleDist:
+        """The law of X_K for an index K ~ weights drawn apart from X.
+
+        Equal to ``mixture(self.marginals(), weights)``, computed in one
+        pass over the atoms without building the m marginals:
+        P(x) = sum over atoms (vec, p) of p * sum_{i: vec_i = x} w_i.
+        """
+        live, wden, vden = self._live_coordinates(weights)
+        pnums, pden = common_scale([p for _, p in self.atoms])
+        mass: dict[int, int] = {}
+        for (vec, _), pn in zip(self.atoms, pnums):
+            for i, wn in live:
+                v = vec[i]
+                k = v.numerator * (vden // v.denominator)
+                mass[k] = mass.get(k, 0) + wn * pn
+        return _dist_on_scale(mass, vden, wden * pden)
+
+    def _live_coordinates(self, weights: Sequence) -> tuple[list[tuple[int, int]], int, int]:
+        """Validate `weights` and bring them and the coordinates they touch
+        to integer scales: returns ([(i, w_i * wden) for w_i > 0], wden,
+        vden), where vden is the common denominator of every coordinate
+        with positive weight."""
+        ws = simplex_weights(weights, self.m)
+        idx = [i for i, w in enumerate(ws) if w]
+        wnums, wden = common_scale([ws[i] for i in idx])
+        vden = math.lcm(*{vec[i].denominator for vec, _ in self.atoms for i in idx})
+        return list(zip(idx, wnums)), wden, vden
+
 
 def convex_combination(j: JointDist, weights: Sequence) -> SimpleDist:
     """Distribution of the scalar sum_i w_i X_i under the joint law `j`."""
-    ws = simplex_weights(weights, j.m)
-    pairs = []
-    for vec, prob in j.atoms:
-        s = sum((w * v for w, v in zip(ws, vec)), Fraction(0))
-        pairs.append((s, prob))
-    return SimpleDist.from_pairs(pairs)
+    live, wden, vden = j._live_coordinates(weights)
+    pnums, pden = common_scale([p for _, p in j.atoms])
+    mass: dict[int, int] = {}
+    for (vec, _), pn in zip(j.atoms, pnums):
+        s = 0
+        for i, wn in live:
+            v = vec[i]
+            s += wn * v.numerator * (vden // v.denominator)
+        mass[s] = mass.get(s, 0) + pn
+    return _dist_on_scale(mass, wden * vden, pden)
 
 
 def quantize_values(d: SimpleDist, q: int) -> SimpleDist:

@@ -5,7 +5,12 @@ second-order dominance is decided in the quantile domain (a breakpoint
 scan over the gap integral, reusing the Expected Shortfall machinery).
 Both are exact.  The verifiers check diversification witnesses against
 their defining identities, again exactly: a certificate that passes here
-is a proof.
+is a proof.  They sum over one common integer scale: the slot-wise
+combination of a certificate, the convex combination of a joint law and
+the mixture of its marginals each bring their Fractions to a least
+common denominator, add integer numerators and make Fractions only for
+the distribution they compare.  The verifiers import nothing from the
+construction code in `certify` at runtime.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .dist import (
     SimpleDist,
     UniformGrid,
     convex_combination,
-    mixture,
     regrid,
     simplex_weights,
 )
@@ -134,8 +138,9 @@ def verify_div2_instance(
 ) -> bool:
     """Check a weighted-position witness: the convex combination of the
     joint coordinates must equal xi and the mixture of its marginals must
-    equal eta, both exactly."""
+    equal eta, both exactly.  The mixture is read off the joint's atoms in
+    one pass; no marginal is built."""
     ws = simplex_weights(weights, joint.m)
     if convex_combination(joint, ws) != xi:
         return False
-    return mixture(joint.marginals(), ws) == eta
+    return joint.mixture_of_marginals(ws) == eta

@@ -6,6 +6,10 @@ enumeration, dominance by integrated CDFs or by the truncated-utility
 family, transport by slot coupling on a common refinement, and
 diversification feasibility by an exact phase-1 simplex over all n!
 permutation columns.
+
+The naive_* references are the Fraction loops the library used before its
+sums moved to one common integer scale: one Fraction addition per term,
+merges keyed by Fraction.  They define what the integer code must equal.
 """
 
 from __future__ import annotations
@@ -14,7 +18,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from divcert import SimpleDist, UniformGrid, expand_to_uniform_grid, regrid
+from divcert import (
+    JointDist,
+    SimpleDist,
+    UniformGrid,
+    expand_to_uniform_grid,
+    as_rational,
+    regrid,
+)
 
 
 def es_by_sorted_tail(d: SimpleDist, alpha: Fraction) -> Fraction:
@@ -100,6 +111,106 @@ def reconstruct_slots(
         for i, src in enumerate(perm):
             acc[i] += scaled * nums[src]
     return tuple(Fraction(x, wden * vden) for x in acc)
+
+
+def naive_simplex_weights(weights, size=None) -> tuple[Fraction, ...]:
+    """Entries >= 0 summing to exactly 1, checked with a Fraction sum."""
+    ws = tuple(as_rational(w) for w in weights)
+    if size is not None and len(ws) != size:
+        raise ValueError(f"expected {size} weights, got {len(ws)}")
+    if any(w < 0 for w in ws):
+        raise ValueError("weights must be non-negative")
+    if sum(ws) != 1:
+        raise ValueError("weights must sum to exactly 1")
+    return ws
+
+
+def naive_combine(terms, values) -> tuple[Fraction, ...]:
+    """sum_k w_k * values[perm_k[i]] per slot, one Fraction addition at a
+    time."""
+    out = [Fraction(0)] * len(values)
+    for perm, weight in terms:
+        for i, src in enumerate(perm):
+            out[i] += weight * values[src]
+    return tuple(out)
+
+
+def naive_convex_combination(j: JointDist, weights) -> SimpleDist:
+    """Law of sum_i w_i X_i: a Fraction sum per atom, merged by value."""
+    ws = naive_simplex_weights(weights, j.m)
+    pairs = []
+    for vec, prob in j.atoms:
+        s = sum((w * v for w, v in zip(ws, vec)), Fraction(0))
+        pairs.append((s, prob))
+    return SimpleDist.from_pairs(pairs)
+
+
+def naive_mixture(ds, weights) -> SimpleDist:
+    """P(x) = sum_i w_i P_i(x), zero-weight components dropped."""
+    ws = naive_simplex_weights(weights, len(ds))
+    pairs = []
+    for d, w in zip(ds, ws):
+        if w == 0:
+            continue
+        pairs.extend((v, w * p) for v, p in d.atoms)
+    return SimpleDist.from_pairs(pairs)
+
+
+def naive_mixture_of_marginals(j: JointDist, weights) -> SimpleDist:
+    """The mixture of the m marginal laws, each built on its own."""
+    return naive_mixture(j.marginals(), weights)
+
+
+def naive_validate_coupling(n, matrix, row_values, col_values) -> None:
+    """Raise ValueError unless `matrix` is an n x n coupling with non-negative
+    cells, row and column sums 1/n and rows that average back to their row
+    values."""
+    if len(matrix) != n or len(row_values) != n or len(col_values) != n:
+        raise ValueError("matrix and value grids must all have size n")
+    share = Fraction(1, n)
+    col_sums = [Fraction(0)] * n
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        row_sum = Fraction(0)
+        row_mean = Fraction(0)
+        for j, c in enumerate(row):
+            if c < 0:
+                raise ValueError("entries must be non-negative")
+            row_sum += c
+            col_sums[j] += c
+            row_mean += c * col_values[j]
+        if row_sum != share:
+            raise ValueError(f"row {i} sums to {row_sum}, not 1/{n}")
+        if row_mean * n != row_values[i]:
+            raise ValueError(f"martingale property fails on row {i}")
+    if any(c != share for c in col_sums):
+        raise ValueError(f"column sums must all be 1/{n}")
+
+
+def naive_validate_doubly_stochastic(rows) -> None:
+    """Raise ValueError unless `rows` is square, non-negative, with every
+    row and column summing to 1."""
+    n = len(rows)
+    col_sums = [Fraction(0)] * n
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        total = Fraction(0)
+        for j, x in enumerate(row):
+            if x < 0:
+                raise ValueError("entries must be non-negative")
+            total += x
+            col_sums[j] += x
+        if total != 1:
+            raise ValueError(f"row sum {total} is not 1")
+    if any(c != 1 for c in col_sums):
+        raise ValueError("column sums must all be 1")
+
+
+def naive_apply(rows, vec) -> tuple[Fraction, ...]:
+    """The matrix-vector product, one Fraction addition at a time."""
+    return tuple(sum((x * v for x, v in zip(row, vec)), Fraction(0)) for row in rows)
 
 
 def lp_feasible(

@@ -11,6 +11,7 @@ import oracles
 from divcert import (
     DoublyStochasticMatrix,
     MajorizationError,
+    MartingaleCoupling,
     MeansDifferError,
     PermutationCertificate,
     SimpleDist,
@@ -37,6 +38,7 @@ from divcert import (
     verify_div2_instance,
 )
 from divcert.certify import _peel_scaled
+from divcert.serialize import coupling_from_obj
 
 HALF = F(1, 2)
 COIN13 = SimpleDist.from_pairs([(1, HALF), (3, HALF)])
@@ -281,6 +283,51 @@ class TestMpsCoupling:
     def test_precondition_errors(self):
         with pytest.raises(MeansDifferError):
             mps_coupling(dirac(0), dirac(1))
+
+
+Q = F(1, 4)
+
+#: one broken coupling per invariant: (n, matrix, row values, column values,
+#: the message the validator must give)
+BROKEN_COUPLINGS = {
+    # row and column sums are 1/2 and both rows average to 0
+    "negative_cell": (
+        2, ((F(-1, 2), F(1)), (F(1), F(-1, 2))), (F(0), F(0)), (F(0), F(0)),
+        "non-negative",
+    ),
+    "row_sum": (2, ((Q, F(1, 8)), (Q, Q)), (F(0), F(0)), (F(0), F(0)), "row 0 sums to 3/8"),
+    # rows sum to 1/2 and average back to 0, but the columns carry 1 and 0
+    "column_sum": (2, ((HALF, 0), (HALF, 0)), (F(0), F(0)), (F(0), F(1)), "column sums"),
+    # every sum is 1/2; row 1 averages to 1, not 2
+    "martingale_row": (2, ((HALF, 0), (0, HALF)), (F(0), F(2)), (F(0), F(1)), "martingale property fails on row 1"),
+    "not_square": (2, ((HALF, 0, 0), (0, HALF)), (F(0), F(1)), (F(0), F(1)), "square"),
+    "grid_sizes": (2, ((HALF, 0), (0, HALF)), (F(0),), (F(0), F(1)), "size n"),
+}
+
+
+class TestCouplingRejects:
+    @pytest.mark.parametrize("case", sorted(BROKEN_COUPLINGS))
+    def test_direct(self, case):
+        n, matrix, rows, cols, message = BROKEN_COUPLINGS[case]
+        with pytest.raises(ValueError, match=message):
+            MartingaleCoupling(n, matrix, rows, cols)
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_COUPLINGS))
+    def test_from_obj(self, case):
+        n, matrix, rows, cols, message = BROKEN_COUPLINGS[case]
+        obj = {
+            "n": n,
+            "row_values": [str(v) for v in rows],
+            "col_values": [str(v) for v in cols],
+            "matrix": [[str(x) for x in row] for row in matrix],
+        }
+        with pytest.raises(ValueError, match=message):
+            coupling_from_obj(obj)
+
+    def test_the_unbroken_cases_pass(self):
+        # the fixes of the cases above validate, so each case breaks one thing
+        MartingaleCoupling(2, ((HALF, 0), (0, HALF)), (F(0), F(1)), (F(0), F(1)))
+        MartingaleCoupling(2, ((Q, Q), (Q, Q)), (F(0), F(0)), (F(0), F(0)))
 
 
 class TestLift:

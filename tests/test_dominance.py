@@ -1,5 +1,6 @@
 """Dominance decision procedures and certificate verification."""
 
+import ast
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ import helpers
 import oracles
 from divcert import (
     JointDist,
+    certify_div1,
     PermutationCertificate,
     SimpleDist,
     UniformGrid,
@@ -206,3 +208,35 @@ class TestVerifiers:
             assert verify_div1_certificate(xi, eta, cert)
             assert check_ssd(xi, eta)
             assert xi.mean() == eta.mean()
+
+
+class TestVerifierDesign:
+    def test_dominance_imports_certify_only_for_type_checking(self):
+        import divcert.dominance
+
+        with open(divcert.dominance.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        guarded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                guarded.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+        certify_imports = [
+            node for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("certify"))
+            or (isinstance(node, ast.Import)
+                and any(a.name.endswith("certify") for a in node.names))
+        ]
+        assert certify_imports  # the type-only import is still found
+        assert all(id(node) in guarded for node in certify_imports)
+
+    def test_div2_builds_no_marginal(self, monkeypatch):
+        rng = random.Random(13)
+        xi, eta = helpers.spread_pair(rng, 3, 2)
+        cert, joint = certify_div1(xi, eta)
+
+        def refuse(self, i):
+            raise AssertionError("verify_div2_instance built a marginal")
+
+        monkeypatch.setattr(JointDist, "marginal", refuse)
+        assert verify_div2_instance(xi, eta, joint, cert.weights)
+        assert not verify_div2_instance(xi, xi, joint, cert.weights)

@@ -1,0 +1,226 @@
+"""The integer-scale sums against the Fraction loops they replaced.
+
+Every proof-layer sum brings its Fractions to one common denominator and
+adds integer numerators.  The references in `oracles` (naive_*) are the
+Fraction loops the library used before; here both run on drawn inputs
+and must give equal results, or fail with the same ValueError message.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from divcert import (
+    DoublyStochasticMatrix,
+    JointDist,
+    MartingaleCoupling,
+    PermutationCertificate,
+    SimpleDist,
+    convex_combination,
+    dirac,
+    mixture,
+    simplex_weights,
+)
+
+#: value denominators are 2^a 3^b; weight denominators come from the drawn
+#: weight totals, so they are often coprime to them (5, 7, 11, 13, ...)
+VALUE_DENS = (1, 2, 3, 4, 6, 8)
+values = st.builds(F, st.integers(-30, 30), st.sampled_from(VALUE_DENS))
+
+
+def failure(fn):
+    """The message of the ValueError fn() raises, or None when it returns."""
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def simplex(draw, m, allow_zero=True):
+    """m weights w_i / total with small integer w_i, zeros included."""
+    raw = draw(st.lists(st.integers(0 if allow_zero else 1, 6), min_size=m, max_size=m))
+    if not any(raw):
+        raw[draw(st.integers(0, m - 1))] = 1
+    total = sum(raw)
+    return tuple(F(w, total) for w in raw)
+
+
+@st.composite
+def dists(draw, max_atoms=5):
+    k = draw(st.integers(1, max_atoms))
+    vs = draw(st.lists(values, min_size=k, max_size=k, unique=True))
+    ps = draw(simplex(k, allow_zero=False))
+    return SimpleDist.from_pairs(zip(vs, ps))
+
+
+@st.composite
+def joints(draw, max_m=4, max_atoms=6):
+    """Joint laws whose coordinates come from a small pool, so values repeat
+    within and across vectors; repeated vectors merge."""
+    m = draw(st.integers(1, max_m))
+    pool = draw(st.lists(values, min_size=1, max_size=4))
+    k = draw(st.integers(1, max_atoms))
+    vecs = draw(
+        st.lists(
+            st.lists(st.sampled_from(pool), min_size=m, max_size=m).map(tuple),
+            min_size=k, max_size=k,
+        )
+    )
+    ps = draw(simplex(k, allow_zero=False))
+    return JointDist.from_pairs(zip(vecs, ps))
+
+
+@st.composite
+def certificates(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, min(4, (n - 1) ** 2 + 1)))
+    perms = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=k, max_size=k))
+    ws = draw(simplex(k, allow_zero=False))
+    return PermutationCertificate(n=n, terms=tuple(zip(perms, ws)))
+
+
+@st.composite
+def doubly_stochastic_rows(draw, max_n=4):
+    """A convex combination of permutation matrices, as lists of lists."""
+    cert = draw(certificates(max_n))
+    rows = [[F(0)] * cert.n for _ in range(cert.n)]
+    for perm, w in cert.terms:
+        for i, src in enumerate(perm):
+            rows[i][src] += w
+    return rows
+
+
+@st.composite
+def perturbed(draw, rows):
+    """`rows`, whose rows and columns share one sum, left as they are or
+    changed in one of the ways a validator must notice, or must not."""
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    kind = draw(st.sampled_from(["none", "cell", "row_move", "col_move", "cycle", "shape"]))
+    d = draw(st.builds(F, st.integers(1, 4), st.sampled_from((2, 3, 5, 7))))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    i2, j2 = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "cell":
+        rows[i][j] += draw(st.sampled_from((d, -d)))
+    elif kind == "row_move":  # row sums kept
+        rows[i][j] -= d
+        rows[i][j2] += d
+    elif kind == "col_move":  # column sums kept
+        rows[i][j] -= d
+        rows[i2][j] += d
+    elif kind == "cycle":  # row and column sums kept, a cell may go negative
+        rows[i][j] -= d
+        rows[i][j2] += d
+        rows[i2][j] += d
+        rows[i2][j2] -= d
+    elif kind == "shape":
+        if draw(st.booleans()):
+            rows[i].append(F(0))
+        else:
+            rows[i].pop()
+    return tuple(tuple(r) for r in rows)
+
+
+class TestSums:
+    @given(st.lists(values, min_size=0, max_size=5), st.booleans())
+    def test_simplex_weights(self, raw, normalize):
+        ws = raw
+        if normalize and raw and sum(raw) != 0:
+            ws = [w / sum(raw) for w in raw]
+        expected = failure(lambda: oracles.naive_simplex_weights(ws))
+        assert failure(lambda: simplex_weights(ws)) == expected
+        if expected is None:
+            assert simplex_weights(ws) == oracles.naive_simplex_weights(ws)
+
+    @given(st.lists(dists(), min_size=1, max_size=4), st.data())
+    def test_mixture(self, ds, data):
+        ws = data.draw(simplex(len(ds)))
+        assert mixture(ds, ws) == oracles.naive_mixture(ds, ws)
+
+    @given(joints(), st.data())
+    def test_convex_combination(self, j, data):
+        ws = data.draw(simplex(j.m))
+        assert convex_combination(j, ws) == oracles.naive_convex_combination(j, ws)
+
+    @given(joints(), st.data())
+    def test_mixture_of_marginals(self, j, data):
+        ws = data.draw(simplex(j.m))
+        assert j.mixture_of_marginals(ws) == oracles.naive_mixture_of_marginals(j, ws)
+
+    @given(certificates(), st.data())
+    def test_combine(self, cert, data):
+        vs = tuple(data.draw(st.lists(values, min_size=cert.n, max_size=cert.n)))
+        assert cert.combine(vs) == oracles.naive_combine(cert.terms, vs)
+
+    @given(doubly_stochastic_rows(), st.data())
+    @settings(deadline=None)
+    def test_doubly_stochastic(self, rows, data):
+        rows = data.draw(perturbed(rows))
+        expected = failure(lambda: oracles.naive_validate_doubly_stochastic(rows))
+        assert failure(lambda: DoublyStochasticMatrix(rows)) == expected
+        if expected is None:
+            vs = tuple(data.draw(st.lists(values, min_size=len(rows), max_size=len(rows))))
+            assert DoublyStochasticMatrix(rows).apply(vs) == oracles.naive_apply(rows, vs)
+
+    @given(doubly_stochastic_rows(), st.data())
+    @settings(deadline=None)
+    def test_coupling(self, rows, data):
+        n = len(rows)
+        matrix = [[x / n for x in row] for row in rows]
+        col_values = tuple(data.draw(st.lists(values, min_size=n, max_size=n)))
+        row_values = [n * sum(c * v for c, v in zip(row, col_values)) for row in matrix]
+        if data.draw(st.booleans()):  # break one row's average
+            row_values[data.draw(st.integers(0, n - 1))] += data.draw(values)
+        matrix = data.draw(perturbed(matrix))
+        args = (n, matrix, tuple(row_values), col_values)
+        assert failure(lambda: MartingaleCoupling(*args)) == failure(
+            lambda: oracles.naive_validate_coupling(*args)
+        )
+
+
+class TestEdges:
+    def test_zero_weight_components_drop_out(self):
+        d = SimpleDist.from_pairs([(F(1, 97), F(1, 2)), (5, F(1, 2))])
+        assert mixture([dirac(1), d], [1, 0]) == dirac(1)
+        # coordinate 1 is touched by a zero weight only: its values vanish
+        j = JointDist.from_pairs([((1, F(1, 97)), F(1, 2)), ((3, F(-5, 7)), F(1, 2))])
+        marginal = SimpleDist.from_pairs([(1, F(1, 2)), (3, F(1, 2))])
+        assert j.mixture_of_marginals([1, 0]) == marginal
+        assert convex_combination(j, [1, 0]) == marginal
+
+    def test_negative_values_and_repeats_merge(self):
+        j = JointDist.from_pairs([((-2, 2), F(1, 3)), ((2, -2), F(1, 3)), ((-2, -2), F(1, 3))])
+        half = [F(1, 2), F(1, 2)]
+        assert convex_combination(j, half) == SimpleDist.from_pairs(
+            [(-2, F(1, 3)), (0, F(2, 3))]
+        )
+        assert j.mixture_of_marginals(half) == SimpleDist.from_pairs(
+            [(-2, F(2, 3)), (2, F(1, 3))]
+        )
+
+    def test_coprime_denominators(self):
+        ws = (F(1, 7), F(2, 7), F(4, 7))
+        j = JointDist.from_pairs(
+            [((F(1, 2), F(-3, 4), F(5, 8)), F(1, 3)), ((F(1, 3), F(1, 6), F(-1, 9)), F(2, 3))]
+        )
+        assert convex_combination(j, ws) == oracles.naive_convex_combination(j, ws)
+        assert j.mixture_of_marginals(ws) == oracles.naive_mixture_of_marginals(j, ws)
+        ds = [dirac(F(1, 2)), dirac(F(1, 3)), SimpleDist.from_pairs([(F(1, 4), F(1, 5)), (1, F(4, 5))])]
+        assert mixture(ds, ws) == oracles.naive_mixture(ds, ws)
+
+    def test_one_coordinate_and_one_slot(self):
+        j = JointDist.from_pairs([((F(-1, 2),), F(1, 4)), ((F(3, 2),), F(3, 4))])
+        assert j.mixture_of_marginals([1]) == j.marginal(0)
+        assert convex_combination(j, [1]) == j.marginal(0)
+        cert = PermutationCertificate(n=1, terms=(((0,), F(1)),))
+        assert cert.combine((F(-7, 3),)) == (F(-7, 3),)
+        assert MartingaleCoupling(1, ((F(1),),), (F(2, 5),), (F(2, 5),))
+
+    def test_empty_coupling_is_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            MartingaleCoupling(0, (), (), ())

@@ -1,5 +1,6 @@
 """Wire formats: exactness and byte-stable round trips."""
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -7,7 +8,16 @@ from fractions import Fraction as F
 import pytest
 
 import helpers
-from divcert import certify_div1, mps_coupling
+import oracles
+from divcert import (
+    SimpleDist,
+    certify_bundle,
+    certify_div1,
+    mps_coupling,
+    regrid,
+    verify_div1_certificate,
+    verify_div2_instance,
+)
 from divcert.serialize import (
     certificate_from_obj,
     certificate_to_obj,
@@ -57,6 +67,112 @@ class TestCertificateJson:
     def test_malformed(self):
         with pytest.raises(ValueError):
             certificate_from_obj({"terms": []})
+
+
+def _wire(xi, eta) -> dict:
+    """certify -> *_to_obj -> JSON text -> a fresh object."""
+    cert, joint, coupling = certify_bundle(xi, eta)
+    obj = {
+        "certificate": certificate_to_obj(cert),
+        "joint": joint_to_obj(joint),
+        "coupling": coupling_to_obj(coupling),
+    }
+    return json.loads(dumps(obj))
+
+
+def _verdict(xi, eta, obj) -> bool:
+    """*_from_obj -> both verifiers; a parse or validation error raises."""
+    cert = certificate_from_obj(obj["certificate"])
+    joint = joint_from_obj(obj["joint"])
+    coupling_from_obj(obj["coupling"])
+    return verify_div1_certificate(xi, eta, cert) and verify_div2_instance(
+        xi, eta, joint, cert.weights
+    )
+
+
+def _reconstructs(xi, eta, terms) -> bool:
+    """Do these (perm, weight) terms rebuild xi in law (integer oracle)?"""
+    n = len(terms[0][0])
+    slots = oracles.reconstruct_slots(terms, regrid(eta, n).values)
+    return SimpleDist.from_pairs((v, F(1, n)) for v in slots) == xi
+
+
+class TestTamperRoundTrip:
+    """A bundle that went through JSON verifies; one changed thing fails it."""
+
+    PAIRS = [helpers.spread_pair(random.Random(seed), 3, 2) for seed in range(12)]
+
+    @staticmethod
+    def _terms(obj):
+        return [(tuple(t["perm"]), F(t["weight"])) for t in obj["certificate"]["terms"]]
+
+    def test_clean_bundles_verify(self):
+        for xi, eta in self.PAIRS:
+            assert _verdict(xi, eta, _wire(xi, eta))
+
+    def test_swapped_weights(self):
+        tampered = 0
+        for xi, eta in self.PAIRS:
+            obj = _wire(xi, eta)
+            terms = self._terms(obj)
+            for i, j in itertools.combinations(range(len(terms)), 2):
+                swapped = list(terms)
+                swapped[i] = (terms[i][0], terms[j][1])
+                swapped[j] = (terms[j][0], terms[i][1])
+                if terms[i][1] != terms[j][1] and not _reconstructs(xi, eta, swapped):
+                    break
+            else:
+                continue
+            ti, tj = obj["certificate"]["terms"][i], obj["certificate"]["terms"][j]
+            ti["weight"], tj["weight"] = tj["weight"], ti["weight"]
+            assert not _verdict(xi, eta, obj)
+            tampered += 1
+        assert tampered >= 8
+
+    def test_swapped_permutation_entries(self):
+        tampered = 0
+        for xi, eta in self.PAIRS:
+            obj = _wire(xi, eta)
+            terms = self._terms(obj)
+            for k, i in itertools.product(range(len(terms)), range(1, obj["certificate"]["n"])):
+                perm, w = terms[k]
+                swapped = list(perm)
+                swapped[0], swapped[i] = swapped[i], swapped[0]
+                if not _reconstructs(xi, eta, terms[:k] + [(tuple(swapped), w)] + terms[k + 1:]):
+                    break
+            else:
+                continue
+            obj["certificate"]["terms"][k]["perm"] = swapped
+            assert not _verdict(xi, eta, obj)
+            tampered += 1
+        assert tampered >= 8
+
+    def test_changed_joint_coordinate(self):
+        for xi, eta in self.PAIRS:
+            obj = _wire(xi, eta)
+            # no atom of eta sits there, and every weight is positive
+            obj["joint"]["atoms"][-1]["v"][-1] = str(max(eta.values) + 1)
+            assert not _verdict(xi, eta, obj)
+
+    def test_mass_moved_within_a_coupling_row(self):
+        tampered = 0
+        for xi, eta in self.PAIRS:
+            obj = _wire(xi, eta)
+            cols = [F(v) for v in obj["coupling"]["col_values"]]
+            matrix = obj["coupling"]["matrix"]
+            n = len(matrix)
+            cells = [(i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+                     if F(matrix[i][j]) > 0 and cols[j] != cols[k]]
+            if not cells:
+                continue
+            i, j, k = cells[0]
+            half = F(matrix[i][j]) / 2
+            matrix[i][j] = str(F(matrix[i][j]) - half)
+            matrix[i][k] = str(F(matrix[i][k]) + half)
+            with pytest.raises(ValueError):
+                _verdict(xi, eta, obj)
+            tampered += 1
+        assert tampered >= 8
 
 
 class TestRenderings:
