@@ -10,7 +10,6 @@ lifts and truncation decompositions) that verify by exact arithmetic.
 from .certify import (
     CertificationError,
     DecompositionResult,
-    DoublyStochasticMatrix,
     LiftResult,
     MajorizationError,
     MartingaleCoupling,
@@ -18,8 +17,6 @@ from .certify import (
     PermutationCertificate,
     SsdViolatedError,
     TTransform,
-    birkhoff_decompose,
-    build_doubly_stochastic,
     certify_bundle,
     certify_div1,
     decompose_ssd,
@@ -69,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificationError",
     "DecompositionResult",
-    "DoublyStochasticMatrix",
     "DEFAULT_GRID_CAP",
     "ESCurve",
     "GridCapError",
@@ -86,8 +82,6 @@ __all__ = [
     "TTransform",
     "UniformGrid",
     "as_rational",
-    "birkhoff_decompose",
-    "build_doubly_stochastic",
     "certify_bundle",
     "certify_div1",
     "check_fsd",

@@ -5,7 +5,7 @@ data:
 
 * a chain of two-coordinate transfer matrices turning one uniform grid
   into a majorized one, multiplied out to a doubly stochastic matrix D
-  with a = D b;
+  with a = D b, held as integer rows over one common denominator L;
 * a Birkhoff peeling of D into a convex combination of at most
   (n-1)^2 + 1 permutation matrices (the permutation-weight certificate
   for diversification dominance);
@@ -15,17 +15,19 @@ data:
 * the truncation splitting second-order dominance into a first-order
   step followed by an equal-means step.
 
-The certificate and the coupling are two views of one D: a single
-private step runs the checks and the transfer product in integer
-arithmetic (numerators over one common denominator L), the coupling
-reads D/n straight off those integers and the peel then consumes them.
-`certify_bundle` returns all three artifacts from that one product;
-`certify_div1` and `mps_coupling` are thin wrappers over the same steps.
+The certificate and the coupling are two views of one D, and D exists
+only in that integer form: a single private step runs the checks and
+the transfer product (numerators over one common denominator L), the
+coupling reads D/n straight off those integers and the peel then
+consumes them.  `certify_bundle` returns all three artifacts from that
+one product; `certify_div1` and `mps_coupling` are thin wrappers over
+the same steps.
 
-The validators and `PermutationCertificate.combine` follow the same
-idiom: each vector of Fractions is brought to one common denominator,
-sums and comparisons run on the integer numerators, and Fractions are
-made only for a result or an error message.
+The coupling's validator, the certificate's weight check and
+`PermutationCertificate.combine` follow the same idiom: each vector of
+Fractions is brought to one common denominator, sums and comparisons run
+on the integer numerators, and Fractions are made only for a result or
+an error message.
 
 All constructions are deterministic: the transfer chain always picks the
 smallest deficient index and the smallest surplus index after it, and
@@ -99,51 +101,6 @@ class TTransform:
         vec[self.j] = vj + self.s * (vi - vj)
 
 
-def _cell_denominator(rows) -> int:
-    """Least common denominator of every cell of a matrix."""
-    return math.lcm(*{x.denominator for row in rows for x in row})
-
-
-@dataclass(frozen=True)
-class DoublyStochasticMatrix:
-    """Square matrix of exact rationals with all row and column sums 1."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.rows)
-        den = _cell_denominator(self.rows)
-        col_sums = [0] * n
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            nums = [x.numerator * (den // x.denominator) for x in row]
-            if min(nums) < 0:
-                raise ValueError("entries must be non-negative")
-            total = sum(nums)
-            if total != den:
-                raise ValueError(f"row sum {Fraction(total, den)} is not 1")
-            col_sums = list(map(add, col_sums, nums))
-        if any(c != den for c in col_sums):
-            raise ValueError("column sums must all be 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def apply(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        den = _cell_denominator(self.rows)
-        vnums, vden = common_scale(vec)
-        scale = den * vden
-        return tuple(
-            Fraction(
-                sum(map(mul, (x.numerator * (den // x.denominator) for x in row), vnums)),
-                scale,
-            )
-            for row in self.rows
-        )
-
-
 @dataclass(frozen=True)
 class PermutationCertificate:
     """Convex combination of permutations witnessing a = sum_k w_k * (b o perm_k).
@@ -166,15 +123,15 @@ class PermutationCertificate:
                 f"{len(self.terms)} terms exceed the bound {(self.n - 1) ** 2 + 1}"
             )
         full = frozenset(range(self.n))
-        total = Fraction(0)
-        for perm, weight in self.terms:
+        nums, den = common_scale(self.weights)
+        for (perm, _), num in zip(self.terms, nums):
             if len(perm) != self.n or frozenset(perm) != full:
                 raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")
-            if weight <= 0:
+            if num <= 0:
                 raise ValueError("term weights must be positive")
-            total += weight
-        if total != 1:
-            raise ValueError(f"term weights sum to {total}, not 1")
+        total = sum(nums)
+        if total != den:
+            raise ValueError(f"term weights sum to {Fraction(total, den)}, not 1")
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -191,14 +148,6 @@ class PermutationCertificate:
             acc = [a + wn * vnums[src] for a, src in zip(acc, perm)]
         scale = wden * vden
         return tuple(Fraction(a, scale) for a in acc)
-
-    def as_matrix(self) -> DoublyStochasticMatrix:
-        """The convex combination of permutation matrices, reassembled."""
-        rows = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for perm, weight in self.terms:
-            for i, src in enumerate(perm):
-                rows[i][src] += weight
-        return DoublyStochasticMatrix(tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -221,7 +170,7 @@ class MartingaleCoupling:
         # cell c = cnum/den and column value v = vnum/vden: a row sums to
         # 1/n iff n * sum(cnum) == den, and it averages back to its row
         # value r iff n * sum(cnum * vnum) == r * den * vden
-        den = _cell_denominator(self.matrix)
+        den = math.lcm(*{c.denominator for row in self.matrix for c in row})
         vnums, vden = common_scale(self.col_values)
         col_sums = [0] * n
         for i, row in enumerate(self.matrix):
@@ -353,20 +302,6 @@ def _scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[list[list[int
     return rows, L
 
 
-def build_doubly_stochastic(a: UniformGrid, b: UniformGrid) -> DoublyStochasticMatrix:
-    """Doubly stochastic D with a = D b, built as the exact product of the
-    transfer chain."""
-    if a.n != b.n:
-        raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
-    rows, L = _scaled_transfer_rows(a, b)
-    matrix = DoublyStochasticMatrix(
-        tuple(tuple(Fraction(x, L) for x in row) for row in rows)
-    )
-    if matrix.apply(b.values) != a.values:
-        raise AssertionError("transfer product failed to reproduce the target grid")
-    return matrix
-
-
 def _peel_scaled(
     rows: list[list[int]], L: int
 ) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -406,19 +341,6 @@ def _peel_scaled(
         if not remaining:
             return terms
     raise AssertionError("peeling failed to terminate")
-
-
-def birkhoff_decompose(D: DoublyStochasticMatrix) -> PermutationCertificate:
-    """Peel D into a convex combination of at most (n-1)^2 + 1 permutation
-    matrices.  Deterministic: every round takes the lexicographically
-    smallest perfect matching of the support."""
-    L = 1
-    for row in D.rows:
-        for x in row:
-            L = L // math.gcd(L, x.denominator) * x.denominator
-    rows = [[x.numerator * (L // x.denominator) for x in row] for row in D.rows]
-    terms = _peel_scaled(rows, L)
-    return PermutationCertificate(n=D.n, terms=tuple(terms))
 
 
 def _transfer_product(

@@ -26,6 +26,13 @@ Rational = Fraction
 #: lcm blowup of probability denominators is the one real resource hazard.
 DEFAULT_GRID_CAP = 10**6
 
+#: as_rational refuses decimal strings whose exponent exceeds this in
+#: magnitude.  It equals CPython's default limit on the digits of an int
+#: string, which already caps the mantissa; "1e-5000" is seven characters
+#: but a 16,610-bit denominator, and the parse time grows about 49-fold
+#: per decade of the exponent.
+MAX_DECIMAL_EXPONENT = 4300
+
 
 class GridCapError(ValueError):
     """Raised when a uniform-grid refinement would exceed the atom cap."""
@@ -35,7 +42,8 @@ def as_rational(x) -> Fraction:
     """Convert `x` to an exact Fraction.
 
     Accepts Fractions, ints, strings ("p/q" or decimal, both parsed
-    exactly) and finite floats (converted from their exact binary value,
+    exactly, with a decimal exponent of at most MAX_DECIMAL_EXPONENT in
+    magnitude) and finite floats (converted from their exact binary value,
     not re-parsed through decimal text).  Booleans are not numbers here.
     """
     if isinstance(x, Fraction):
@@ -45,6 +53,16 @@ def as_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            _, _, exponent = x.lower().rpartition("e")
+            try:
+                too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+            except ValueError:  # no exponent: Fraction reports the syntax
+                too_large = False
+            if too_large:
+                raise ValueError(
+                    f"decimal exponent of {x!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
         try:
             return Fraction(x)
         except ZeroDivisionError:

@@ -44,16 +44,38 @@ def dist_to_obj(d: SimpleDist) -> dict:
     return {"atoms": [{"v": rational_str(v), "p": rational_str(p)} for v, p in d.atoms]}
 
 
+def _fields(obj, what: str, *keys: str) -> None:
+    """Refuse `obj` unless it is a JSON object carrying every key in `keys`."""
+    if not isinstance(obj, dict) or not all(map(obj.__contains__, keys)):
+        raise ValueError(f"{what} must be an object with fields {', '.join(keys)}")
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list")
+    return x
+
+
+def _int(x, what: str) -> int:
+    """A JSON integer: not a float, not true/false."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, not {json.dumps(x)}")
+    return x
+
+
+def _rationals(xs, what: str) -> tuple[Fraction, ...]:
+    """A JSON list of exact numbers."""
+    try:
+        return tuple(map(as_rational, _list(xs, what)))
+    except TypeError as exc:  # JSON null, true/false, a list or an object
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def dist_from_obj(obj) -> SimpleDist:
-    if not isinstance(obj, dict) or "atoms" not in obj:
-        raise ValueError("distribution JSON must be an object with an 'atoms' list")
-    atoms = obj["atoms"]
-    if not isinstance(atoms, list):
-        raise ValueError("'atoms' must be a list")
+    _fields(obj, "distribution JSON", "atoms")
     pairs = []
-    for entry in atoms:
-        if not isinstance(entry, dict) or "v" not in entry or "p" not in entry:
-            raise ValueError("each atom needs 'v' and 'p' fields")
+    for entry in _list(obj["atoms"], "atoms"):
+        _fields(entry, "each atom", "v", "p")
         try:
             pairs.append((as_rational(entry["v"]), as_rational(entry["p"])))
         except TypeError as exc:  # JSON null, true/false, a list or an object
@@ -72,11 +94,12 @@ def joint_to_obj(j: JointDist) -> dict:
 
 
 def joint_from_obj(obj) -> JointDist:
-    if not isinstance(obj, dict) or "atoms" not in obj:
-        raise ValueError("joint JSON must be an object with an 'atoms' list")
+    _fields(obj, "joint JSON", "atoms")
     pairs = []
-    for entry in obj["atoms"]:
-        pairs.append((tuple(as_rational(x) for x in entry["v"]), as_rational(entry["p"])))
+    for entry in _list(obj["atoms"], "atoms"):
+        _fields(entry, "each joint atom", "v", "p")
+        vec = _rationals(entry["v"], "joint atom v")
+        pairs.append((vec, _rationals([entry["p"]], "joint atom p")[0]))
     return JointDist.from_pairs(pairs)
 
 
@@ -90,13 +113,15 @@ def certificate_to_obj(cert: PermutationCertificate) -> dict:
 
 
 def certificate_from_obj(obj) -> PermutationCertificate:
-    if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
-        raise ValueError("certificate JSON must carry 'n' and 'terms'")
-    terms = tuple(
-        (tuple(int(i) for i in entry["perm"]), as_rational(entry["weight"]))
-        for entry in obj["terms"]
-    )
-    return PermutationCertificate(n=int(obj["n"]), terms=terms)
+    _fields(obj, "certificate JSON", "n", "terms")
+    terms = []
+    for entry in _list(obj["terms"], "terms"):
+        _fields(entry, "each term", "perm", "weight")
+        perm = _list(entry["perm"], "perm")
+        if not set(map(type, perm)) <= {int}:
+            raise ValueError(f"perm must list integers, not {json.dumps(perm)}")
+        terms.append((tuple(perm), _rationals([entry["weight"]], "term weight")[0]))
+    return PermutationCertificate(n=_int(obj["n"], "n"), terms=tuple(terms))
 
 
 def coupling_to_obj(c: MartingaleCoupling) -> dict:
@@ -109,11 +134,12 @@ def coupling_to_obj(c: MartingaleCoupling) -> dict:
 
 
 def coupling_from_obj(obj) -> MartingaleCoupling:
+    _fields(obj, "coupling JSON", "n", "row_values", "col_values", "matrix")
     return MartingaleCoupling(
-        n=int(obj["n"]),
-        matrix=tuple(tuple(as_rational(x) for x in row) for row in obj["matrix"]),
-        row_values=tuple(as_rational(v) for v in obj["row_values"]),
-        col_values=tuple(as_rational(v) for v in obj["col_values"]),
+        n=_int(obj["n"], "n"),
+        matrix=tuple(_rationals(row, "matrix row") for row in _list(obj["matrix"], "matrix")),
+        row_values=_rationals(obj["row_values"], "row_values"),
+        col_values=_rationals(obj["col_values"], "col_values"),
     )
 
 

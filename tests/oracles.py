@@ -113,6 +113,16 @@ def reconstruct_slots(
     return tuple(Fraction(x, wden * vden) for x in acc)
 
 
+def reassemble(terms, n: int) -> list[list[Fraction]]:
+    """The n x n matrix sum_k w_k * P_k, where P_k has a 1 in row i,
+    column perm_k[i]; one Fraction addition per cell and term."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for perm, weight in terms:
+        for i, src in enumerate(perm):
+            rows[i][src] += weight
+    return rows
+
+
 def naive_simplex_weights(weights, size=None) -> tuple[Fraction, ...]:
     """Entries >= 0 summing to exactly 1, checked with a Fraction sum."""
     ws = tuple(as_rational(w) for w in weights)
@@ -133,6 +143,27 @@ def naive_combine(terms, values) -> tuple[Fraction, ...]:
         for i, src in enumerate(perm):
             out[i] += weight * values[src]
     return tuple(out)
+
+
+def naive_validate_certificate(n, terms) -> None:
+    """Raise ValueError unless `terms` are at most (n-1)^2 + 1 permutations
+    of 0..n-1 with positive weights summing to 1 (a Fraction sum)."""
+    if n < 1:
+        raise ValueError("grid size must be positive")
+    if not terms:
+        raise ValueError("a certificate needs at least one term")
+    if len(terms) > (n - 1) ** 2 + 1:
+        raise ValueError(f"{len(terms)} terms exceed the bound {(n - 1) ** 2 + 1}")
+    full = frozenset(range(n))
+    total = Fraction(0)
+    for perm, weight in terms:
+        if len(perm) != n or frozenset(perm) != full:
+            raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
+        if weight <= 0:
+            raise ValueError("term weights must be positive")
+        total += weight
+    if total != 1:
+        raise ValueError(f"term weights sum to {total}, not 1")
 
 
 def naive_convex_combination(j: JointDist, weights) -> SimpleDist:
@@ -186,31 +217,6 @@ def naive_validate_coupling(n, matrix, row_values, col_values) -> None:
             raise ValueError(f"martingale property fails on row {i}")
     if any(c != share for c in col_sums):
         raise ValueError(f"column sums must all be 1/{n}")
-
-
-def naive_validate_doubly_stochastic(rows) -> None:
-    """Raise ValueError unless `rows` is square, non-negative, with every
-    row and column summing to 1."""
-    n = len(rows)
-    col_sums = [Fraction(0)] * n
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        total = Fraction(0)
-        for j, x in enumerate(row):
-            if x < 0:
-                raise ValueError("entries must be non-negative")
-            total += x
-            col_sums[j] += x
-        if total != 1:
-            raise ValueError(f"row sum {total} is not 1")
-    if any(c != 1 for c in col_sums):
-        raise ValueError("column sums must all be 1")
-
-
-def naive_apply(rows, vec) -> tuple[Fraction, ...]:
-    """The matrix-vector product, one Fraction addition at a time."""
-    return tuple(sum((x * v for x, v in zip(row, vec)), Fraction(0)) for row in rows)
 
 
 def lp_feasible(

@@ -9,7 +9,6 @@ import pytest
 import helpers
 import oracles
 from divcert import (
-    DoublyStochasticMatrix,
     MajorizationError,
     MartingaleCoupling,
     MeansDifferError,
@@ -18,8 +17,6 @@ from divcert import (
     SsdViolatedError,
     TTransform,
     UniformGrid,
-    birkhoff_decompose,
-    build_doubly_stochastic,
     certify_bundle,
     certify_div1,
     check_fsd,
@@ -90,74 +87,72 @@ class TestTransforms:
         assert exc.value.witness == 1
 
 
+def times_grid(matrix, values):
+    """The matrix applied to a value vector, one Fraction sum per row."""
+    return tuple(sum((c * v for c, v in zip(row, values)), F(0)) for row in matrix)
+
+
 class TestBuildDoublyStochastic:
+    """D = rows/L, the integer transfer product behind both the certificate
+    and the coupling, seen through the coupling C = D/n."""
+
     def test_single_transfer(self):
-        D = build_doubly_stochastic(grid(2, 2), grid(1, 3))
-        assert D.rows == ((HALF, HALF), (HALF, HALF))
+        c = mps_coupling(grid(2, 2).to_dist(), grid(1, 3).to_dist())
+        assert [[2 * x for x in row] for row in c.matrix] == [[HALF, HALF], [HALF, HALF]]
 
     def test_identity(self):
         g = grid(1, 4, 6)
-        D = build_doubly_stochastic(g, g)
-        assert D.rows == (
-            (F(1), F(0), F(0)),
-            (F(0), F(1), F(0)),
-            (F(0), F(0), F(1)),
-        )
+        c = mps_coupling(g.to_dist(), g.to_dist())
+        third = F(1, 3)
+        assert c.matrix == ((third, 0, 0), (0, third, 0), (0, 0, third))
 
     def test_three_slot_example(self):
         a, b = grid(1, 2, 3), grid(0, 2, 4)
-        D = build_doubly_stochastic(a, b)
-        assert D.apply(b.values) == a.values
+        c = mps_coupling(a.to_dist(), b.to_dist())
+        assert (c.row_values, c.col_values) == (a.values, b.values)
+        assert times_grid([[3 * x for x in row] for row in c.matrix], b.values) == a.values
 
     def test_random_majorized_pairs(self):
         rng = random.Random(2)
         for _ in range(100):
             xi, eta = helpers.mps_pair(rng, base_atoms=5, max_doublings=2)
             a, b = common_refinement(xi, eta)
-            D = build_doubly_stochastic(a, b)
-            assert D.apply(b.values) == a.values
-
-    def test_type_validates(self):
-        with pytest.raises(ValueError):
-            DoublyStochasticMatrix(((HALF, HALF), (F(1), F(0))))
-        with pytest.raises(ValueError):
-            DoublyStochasticMatrix(((F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2))))
+            c = mps_coupling(xi, eta)
+            assert (c.row_values, c.col_values) == (a.values, b.values)
+            D = [[a.n * x for x in row] for row in c.matrix]
+            assert times_grid(D, b.values) == a.values
 
 
 class TestBirkhoff:
     def test_permutation_matrix_is_itself(self):
-        rows = (
-            (F(0), F(1), F(0)),
-            (F(0), F(0), F(1)),
-            (F(1), F(0), F(0)),
-        )
-        cert = birkhoff_decompose(DoublyStochasticMatrix(rows))
-        assert cert.terms == (((1, 2, 0), F(1)),)
+        rows = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        assert _peel_scaled(rows, 1) == [((1, 2, 0), F(1))]
 
     def test_two_by_two_split(self):
-        cert = birkhoff_decompose(DoublyStochasticMatrix(((HALF, HALF), (HALF, HALF))))
-        assert cert.terms == (((0, 1), HALF), ((1, 0), HALF))
+        assert _peel_scaled([[1, 1], [1, 1]], 2) == [((0, 1), HALF), ((1, 0), HALF)]
 
     def test_flat_three_by_three_peels_cycles(self):
         third = F(1, 3)
-        rows = tuple(tuple(third for _ in range(3)) for _ in range(3))
-        cert = birkhoff_decompose(DoublyStochasticMatrix(rows))
-        assert cert.terms == (
+        terms = _peel_scaled([[1] * 3 for _ in range(3)], 3)
+        assert terms == [
             ((0, 1, 2), third),
             ((1, 2, 0), third),
             ((2, 0, 1), third),
-        )
-        assert cert.as_matrix() == DoublyStochasticMatrix(rows)
+        ]
+        assert oracles.reassemble(terms, 3) == [[third] * 3 for _ in range(3)]
 
     def test_reassembles_exactly(self):
+        # the peel's terms add back up to n times the coupling shipped
+        # with them, cell by cell: both are the one D
         rng = random.Random(3)
         for _ in range(60):
             xi, eta = helpers.mps_pair(rng, base_atoms=5, max_doublings=2)
-            a, b = common_refinement(xi, eta)
-            D = build_doubly_stochastic(a, b)
-            cert = birkhoff_decompose(D)
-            assert cert.as_matrix() == D
-            assert len(cert.terms) <= (D.n - 1) ** 2 + 1
+            cert, _, coupling = certify_bundle(xi, eta)
+            n = cert.n
+            assert oracles.reassemble(cert.terms, n) == [
+                [n * x for x in row] for row in coupling.matrix
+            ]
+            assert len(cert.terms) <= (n - 1) ** 2 + 1
 
     def test_deterministic(self):
         rng = random.Random(4)
@@ -184,7 +179,7 @@ class TestBirkhoff:
         )
 
     def test_corrupt_input_is_detected(self):
-        # bypass the type validation to exercise the guard in the peel
+        # rows that are not doubly stochastic reach the peel's own guard
         rows = [[2, 0], [0, 1]]
         with pytest.raises(ValueError):
             _peel_scaled(rows, 2)

@@ -249,6 +249,12 @@ class TestBadInput:
         assert main(["mix", files["zero"], files["two"], "--weights", "1/0,1"]) == 2
         self._assert_input_error(capsys)
 
+    def test_huge_decimal_exponent(self, files, capsys):
+        bad = self._atoms_file(files["tmp"], [{"v": "1e5000", "p": "1"}])
+        assert main(["es", bad, "--alpha", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exponent" in err
+
     def test_json_booleans_are_not_numbers(self, files, capsys):
         for atom in ({"v": True, "p": "1"}, {"v": "1", "p": True}):
             bad = self._atoms_file(files["tmp"], [atom])

@@ -67,6 +67,13 @@ class TestRational:
         with pytest.raises(ValueError):
             as_rational("1/0")
 
+    def test_bounds_the_decimal_exponent(self):
+        assert as_rational("1e4300") == 10**4300
+        assert as_rational("-2.5E-4300") == F(-25, 10**4301)
+        for text in ("1e5000", "1e-5000", "1E+4301", "1e10000000"):
+            with pytest.raises(ValueError, match="exponent"):
+                as_rational(text)
+
 
 class TestSimpleDist:
     def test_canonicalization_merges_sorts_drops(self):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import oracles
 from divcert import (
-    DoublyStochasticMatrix,
     JointDist,
     MartingaleCoupling,
     PermutationCertificate,
@@ -82,6 +81,22 @@ def certificates(draw, max_n=5):
     perms = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=k, max_size=k))
     ws = draw(simplex(k, allow_zero=False))
     return PermutationCertificate(n=n, terms=tuple(zip(perms, ws)))
+
+
+@st.composite
+def certificate_terms(draw, max_n=4):
+    """(n, terms) for PermutationCertificate: weights that sum to 1 or to
+    something else, zeros and negatives among them, a term count that may
+    pass the bound, and now and then a term that is no permutation."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, (n - 1) ** 2 + 2))
+    perms = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=k, max_size=k))
+    if perms and draw(st.integers(0, 4)) == 0:
+        perms[draw(st.integers(0, k - 1))] = (0,) * n
+    raw = draw(st.lists(st.integers(-1, 6), min_size=k, max_size=k))
+    total = sum(raw) + draw(st.sampled_from((0, 0, 1, 5)))
+    weights = [F(w, total or 7) for w in raw]
+    return n, tuple(zip(perms, weights))
 
 
 @st.composite
@@ -157,15 +172,12 @@ class TestSums:
         vs = tuple(data.draw(st.lists(values, min_size=cert.n, max_size=cert.n)))
         assert cert.combine(vs) == oracles.naive_combine(cert.terms, vs)
 
-    @given(doubly_stochastic_rows(), st.data())
-    @settings(deadline=None)
-    def test_doubly_stochastic(self, rows, data):
-        rows = data.draw(perturbed(rows))
-        expected = failure(lambda: oracles.naive_validate_doubly_stochastic(rows))
-        assert failure(lambda: DoublyStochasticMatrix(rows)) == expected
-        if expected is None:
-            vs = tuple(data.draw(st.lists(values, min_size=len(rows), max_size=len(rows))))
-            assert DoublyStochasticMatrix(rows).apply(vs) == oracles.naive_apply(rows, vs)
+    @given(certificate_terms())
+    def test_certificate_weights(self, args):
+        n, terms = args
+        assert failure(lambda: PermutationCertificate(n, terms)) == failure(
+            lambda: oracles.naive_validate_certificate(n, terms)
+        )
 
     @given(doubly_stochastic_rows(), st.data())
     @settings(deadline=None)

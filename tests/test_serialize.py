@@ -54,6 +54,30 @@ class TestDistJson:
             dist_from_obj({"atoms": [{"v": "1", "p": "1/2"}]})  # mass 1/2
 
 
+def _coupling(**fields) -> dict:
+    """A valid one-slot coupling object, with `fields` replaced."""
+    return {"n": 1, "row_values": ["0"], "col_values": ["0"], "matrix": [["1"]], **fields}
+
+
+#: bundle parts that must be refused with ValueError: a missing key, a
+#: wrong container, or a JSON float or boolean where an integer belongs
+MALFORMED_BUNDLE_PARTS = {
+    "term_without_weight": (certificate_from_obj, {"n": 2, "terms": [{"perm": [0, 1]}]}),
+    "term_not_an_object": (certificate_from_obj, {"n": 1, "terms": [[[0], "1"]]}),
+    "float_perm": (certificate_from_obj, {"n": 2, "terms": [{"perm": [0.9, 1], "weight": "1"}]}),
+    "bool_perm": (certificate_from_obj, {"n": 2, "terms": [{"perm": [False, True], "weight": "1"}]}),
+    "float_n": (certificate_from_obj, {"n": 2.7, "terms": [{"perm": [0, 1], "weight": "1"}]}),
+    "null_weight": (certificate_from_obj, {"n": 1, "terms": [{"perm": [0], "weight": None}]}),
+    "joint_atoms_not_a_list": (joint_from_obj, {"atoms": 5}),
+    "joint_vector_not_a_list": (joint_from_obj, {"atoms": [{"v": 5, "p": "1"}]}),
+    "joint_null_probability": (joint_from_obj, {"atoms": [{"v": ["1"], "p": None}]}),
+    "coupling_not_an_object": (coupling_from_obj, []),
+    "coupling_empty_object": (coupling_from_obj, {}),
+    "coupling_bool_n": (coupling_from_obj, _coupling(n=True)),
+    "coupling_row_not_a_list": (coupling_from_obj, _coupling(matrix=[5])),
+}
+
+
 class TestCertificateJson:
     def test_round_trip(self):
         rng = random.Random(2)
@@ -67,6 +91,12 @@ class TestCertificateJson:
     def test_malformed(self):
         with pytest.raises(ValueError):
             certificate_from_obj({"terms": []})
+
+    @pytest.mark.parametrize("parse, obj", list(MALFORMED_BUNDLE_PARTS.values()),
+                             ids=list(MALFORMED_BUNDLE_PARTS))
+    def test_malformed_parts_are_value_errors(self, parse, obj):
+        with pytest.raises(ValueError):
+            parse(obj)
 
 
 def _wire(xi, eta) -> dict:
