@@ -7,6 +7,10 @@ additional 12-significant-digit decimal rendering for readability.
 Serializing a canonical object, parsing it back and serializing again is
 byte-identical.
 
+`dumps` writes exactly the text of ``json.dumps(obj, indent=2) + "\\n"``,
+byte for byte, but builds it with string joins: CPython's C encoder does
+not handle `indent`, so json.dumps(indent=2) runs its pure-Python one.
+
 Distribution files look like::
 
     {"atoms": [{"v": "-1/2", "p": "1/4"}, {"v": "3", "p": "3/4"}]}
@@ -19,14 +23,23 @@ from __future__ import annotations
 
 import decimal
 import json
+import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .certify import LiftResult, MartingaleCoupling, PermutationCertificate
 from .dist import JointDist, SimpleDist, as_rational
 
 
 def rational_str(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # an int past the interpreter's digit limit
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        raise ValueError(
+            f"the exact result has an integer of about {int(bits * 0.30103) + 1} digits, "
+            f"more than the {sys.get_int_max_str_digits()} digits divcert prints"
+        ) from None
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:
@@ -154,9 +167,61 @@ def lift_to_obj(res: LiftResult) -> dict:
     }
 
 
+class _NotPlain(Exception):
+    """The tree holds a value `_encode` leaves to json.dumps."""
+
+
+def _encode(x, newline: str) -> str:
+    """JSON text of `x` as json.dumps(indent=2) writes it at the depth
+    whose line breaks are `newline` ("\\n" plus the indentation)."""
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is list or kind is tuple:
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, x))
+        if kinds == {str}:
+            items = map(encode_basestring_ascii, x)
+        elif kinds == {int}:
+            items = map(int.__repr__, x)
+        else:
+            items = [_encode(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for k, v in x.items():
+            if type(k) is not str:
+                raise _NotPlain
+            items.append(encode_basestring_ascii(k) + ": " + _encode(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    raise _NotPlain
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: two-space indent, stable key order as built."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Canonical JSON text: two-space indent, stable key order as built.
+
+    Equal to ``json.dumps(obj, indent=2) + "\\n"`` byte for byte.  Trees of
+    dicts with str keys, lists, tuples, str, int, bool and None are joined
+    here; any other value (a float, a non-str key) sends the whole
+    document through json.dumps.
+    """
+    try:
+        return _encode(obj, "\n") + "\n"
+    except _NotPlain:
+        return json.dumps(obj, indent=2) + "\n"
 
 
 def load_samples_csv(path: str) -> SimpleDist:

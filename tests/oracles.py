@@ -26,6 +26,7 @@ from divcert import (
     as_rational,
     regrid,
 )
+from divcert.matching import lex_min_perfect_matching
 
 
 def es_by_sorted_tail(d: SimpleDist, alpha: Fraction) -> Fraction:
@@ -121,6 +122,33 @@ def reassemble(terms, n: int) -> list[list[Fraction]]:
         for i, src in enumerate(perm):
             rows[i][src] += weight
     return rows
+
+
+def naive_peel(rows: list[list[int]], L: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Birkhoff peeling of rows/L over the whole support: every round
+    re-matches all n rows at once (warm-started from the round before),
+    whatever blocks the support splits into.  Consumes `rows`."""
+    n = len(rows)
+    adjacency = [[j for j, x in enumerate(row) if x] for row in rows]
+    remaining = L
+    terms = []
+    perm = None
+    for _ in range(n * n + 1):
+        perm = lex_min_perfect_matching(adjacency, previous=perm)
+        if perm is None:
+            raise ValueError("positive entries admit no perfect matching")
+        weight = min(rows[i][perm[i]] for i in range(n))
+        terms.append((tuple(perm), Fraction(weight, L)))
+        for i in range(n):
+            j = perm[i]
+            left = rows[i][j] - weight
+            rows[i][j] = left
+            if not left:
+                adjacency[i].remove(j)
+        remaining -= weight
+        if not remaining:
+            return terms
+    raise AssertionError("peeling failed to terminate")
 
 
 def naive_simplex_weights(weights, size=None) -> tuple[Fraction, ...]:

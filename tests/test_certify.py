@@ -3,8 +3,11 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from operator import sub
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -34,6 +37,7 @@ from divcert import (
     verify_div1_certificate,
     verify_div2_instance,
 )
+from divcert import certify
 from divcert.certify import _peel_scaled
 from divcert.serialize import coupling_from_obj
 
@@ -43,6 +47,31 @@ COIN13 = SimpleDist.from_pairs([(1, HALF), (3, HALF)])
 
 def grid(*values):
     return UniformGrid.from_values([F(v) for v in values])
+
+
+@st.composite
+def block_stochastic_rows(draw, max_n=8):
+    """Integer rows summing to L in every row and column, built block by
+    block as sums of weighted permutation matrices.  Blocks take their
+    rows and columns from drawn orders, so they interleave; blocks may be
+    1 x 1 or the whole matrix.  Returns (rows, L)."""
+    n = draw(st.integers(1, max_n))
+    row_order = draw(st.permutations(range(n)))
+    col_order = draw(st.permutations(range(n)))
+    L = draw(st.integers(1, 12))
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, n - start))
+        block_rows = row_order[start : start + size]
+        block_cols = col_order[start : start + size]
+        cuts = sorted(draw(st.sets(st.integers(1, L), max_size=3)) - {L})
+        for weight in map(sub, cuts + [L], [0] + cuts):
+            sigma = draw(st.permutations(range(size)))
+            for r, c in zip(block_rows, sigma):
+                rows[r][block_cols[c]] += weight
+        start += size
+    return rows, L
 
 
 class TestTransforms:
@@ -183,6 +212,44 @@ class TestBirkhoff:
         rows = [[2, 0], [0, 1]]
         with pytest.raises(ValueError):
             _peel_scaled(rows, 2)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 1], [0, 0]], [[1, 0], [1, 0]], [[0, 0, 0], [0, 1, 1], [0, 1, 1]]]
+    )
+    def test_non_square_block_is_detected(self, rows):
+        # a block with more columns than rows, or more rows than columns,
+        # has no perfect matching: the same ValueError, not an IndexError
+        with pytest.raises(ValueError, match="no perfect matching"):
+            _peel_scaled(rows, 2)
+
+    def test_interleaved_blocks_rematch_only_what_changed(self, monkeypatch):
+        # rows 0 and 2 use columns 1 and 3; rows 1 and 3 use columns 0 and 2
+        rows = [[0, 1, 0, 2], [2, 0, 1, 0], [0, 2, 0, 1], [1, 0, 2, 0]]
+        calls = []
+
+        def counted(adjacency, **kwargs):
+            calls.append(len(adjacency))
+            return kernel(adjacency, **kwargs)
+
+        kernel = certify.lex_min_perfect_matching
+        monkeypatch.setattr(certify, "lex_min_perfect_matching", counted)
+        third = F(1, 3)
+        expected = [((1, 0, 3, 2), third), ((3, 0, 1, 2), third), ((3, 2, 1, 0), third)]
+        assert oracles.naive_peel([row[:] for row in rows], 3) == expected
+        calls.clear()
+        assert _peel_scaled(rows, 3) == expected
+        # both blocks in the first round, then only the block that lost a cell
+        assert calls == [2, 2, 2, 2]
+
+    @given(block_stochastic_rows())
+    @example(([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1))  # three 1 x 1 blocks
+    @example(([[2, 1, 1], [1, 2, 1], [1, 1, 2]], 4))  # one full block
+    @example(([[0, 1, 0, 2], [2, 0, 1, 0], [0, 2, 0, 1], [1, 0, 2, 0]], 3))  # interleaved
+    @settings(max_examples=200, deadline=None)
+    def test_block_peel_equals_the_whole_support_peel(self, case):
+        rows, L = case
+        expected = oracles.naive_peel([row[:] for row in rows], L)
+        assert _peel_scaled(rows, L) == expected
 
 
 class TestCertifyDiv1:

@@ -17,6 +17,7 @@ from divcert import (
     verify_div1_certificate,
     verify_div2_instance,
 )
+from divcert import certify
 from divcert.cli import main
 from divcert.serialize import (
     certificate_from_obj,
@@ -254,6 +255,30 @@ class TestBadInput:
         assert main(["es", bad, "--alpha", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exponent" in err
+
+    def test_unprintable_exact_result(self, files, capsys):
+        # the value parses (its exponent is at the limit), but -ES is an
+        # integer of 4301 digits, which Python will not turn into text
+        bad = self._atoms_file(files["tmp"], [{"v": "1e4300", "p": "1"}])
+        assert main(["es", bad, "--alpha", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4300 digits" in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_certify_slot_cap(self, files, capsys, monkeypatch):
+        # 1031 is prime, so the common refinement needs 1031 slots
+        pair = dumps(dist_to_obj(SimpleDist.from_pairs([(0, F(1, 1031)), (1, F(1030, 1031))])))
+        path = files["tmp"] / "fine.json"
+        path.write_text(pair)
+
+        def no_product(a, b):
+            raise AssertionError("the cap must refuse the pair before the product")
+
+        monkeypatch.setattr(certify, "_scaled_transfer_rows", no_product)
+        assert main(["certify", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1031" in err
+        assert f"cap of {certify.CERTIFY_SLOT_CAP}" in err
 
     def test_json_booleans_are_not_numbers(self, files, capsys):
         for atom in ({"v": True, "p": "1"}, {"v": "1", "p": True}):

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -203,6 +205,49 @@ class TestTamperRoundTrip:
                 _verdict(xi, eta, obj)
             tampered += 1
         assert tampered >= 8
+
+
+#: strings with the characters JSON must escape, and non-ASCII text
+texts = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028'), st.characters()), max_size=8
+)
+ints = st.one_of(st.integers(), st.integers(-(10**80), 10**80))
+leaves = st.one_of(
+    texts,
+    ints,
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.lists(texts, max_size=4),
+    st.lists(ints, max_size=4),
+)
+json_trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(texts, children, max_size=4),
+        st.dictionaries(st.integers(-5, 5), children, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    @given(json_trees)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_json_dumps_indent_2(self, tree):
+        assert dumps(tree) == json.dumps(tree, indent=2) + "\n"
+
+    def test_bundle_shapes(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            xi, eta = helpers.mps_pair(rng, base_atoms=4, max_doublings=2)
+            cert, joint, coupling = certify_bundle(xi, eta)
+            obj = certificate_to_obj(cert)
+            obj["joint"] = joint_to_obj(joint)
+            obj["coupling"] = coupling_to_obj(coupling)
+            assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
 
 
 class TestRenderings:
