@@ -10,8 +10,11 @@ illustration only.
 
 The emitted table tracks the Expected Shortfall at a fixed level and the
 transport distance to the point mass at 1: the distance contracts toward
-zero while every finite stage stays a diversification-dominated version
-of the first, which is what makes the closure step necessary.
+zero, which is what makes the closure step necessary.  Each stage
+second-order dominates the one before (`ssd_violation(d_2n, d_n)` is
+None), but no stage is an exact diversification of another: the
+discretized means fall short of 1 by different amounts, from 3.4e-4 at
+n = 1 to 6.6e-6 at n = 64 on a grid of 1024 points.
 """
 
 from __future__ import annotations

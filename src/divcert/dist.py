@@ -11,6 +11,11 @@ Fractions is brought to its least common denominator (`common_scale`),
 the sums, merges and comparisons run on the integer numerators, and
 Fractions are made only for the final result.  A Fraction sum would
 normalize by a gcd at every step and hash every value it merges.
+
+Two walkers are the only code that steps through two distributions
+together: `quantile_steps` over the merged cumulative probabilities,
+`cdf_steps` over the merged atom values.  Risk, transport and dominance
+fold over them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -186,6 +191,47 @@ class SimpleDist:
         if k == 0:
             return dirac(0)
         return SimpleDist.from_pairs((v * k, p) for v, p in self.atoms)
+
+
+def quantile_steps(a: SimpleDist, b: SimpleDist) -> Iterator[tuple[Fraction, ...]]:
+    """Yield (level, width, qa, qb) for each maximal interval
+    (level - width, level] of (0, 1] on which the lower quantile functions
+    of `a` and `b` are constant, equal to qa and qb, in increasing order;
+    the last level is 1."""
+    qa, ca = a.atoms[0]
+    qb, cb = b.atoms[0]
+    ia = ib = 0
+    prev = Fraction(0)
+    while True:
+        level = ca if ca <= cb else cb
+        yield level, level - prev, qa, qb
+        if level == 1:
+            return
+        prev = level
+        if ca == level:
+            ia += 1
+            qa, p = a.atoms[ia]
+            ca += p
+        if cb == level:
+            ib += 1
+            qb, p = b.atoms[ib]
+            cb += p
+
+
+def cdf_steps(a: SimpleDist, b: SimpleDist) -> Iterator[tuple[Fraction, ...]]:
+    """Yield (v, P(a <= v), P(b <= v)) at every atom value v of `a` or `b`,
+    in increasing order; both CDFs are constant up to the next v."""
+    atoms_a, atoms_b = a.atoms, b.atoms
+    ia = ib = 0
+    fa = fb = Fraction(0)
+    for v in sorted(set(a.values).union(b.values)):
+        if ia < len(atoms_a) and atoms_a[ia][0] == v:
+            fa += atoms_a[ia][1]
+            ia += 1
+        if ib < len(atoms_b) and atoms_b[ib][0] == v:
+            fb += atoms_b[ib][1]
+            ib += 1
+        yield v, fa, fb
 
 
 def dirac(value) -> SimpleDist:

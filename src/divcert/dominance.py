@@ -23,6 +23,7 @@ from .dist import (
     JointDist,
     SimpleDist,
     UniformGrid,
+    cdf_steps,
     convex_combination,
     regrid,
     simplex_weights,
@@ -37,20 +38,7 @@ def fsd_violation(xi: SimpleDist, eta: SimpleDist) -> Fraction | None:
     """Smallest merged atom value v with P(xi <= v) > P(eta <= v), i.e. a
     point just above which F_xi exceeds F_eta; None when xi first-order
     dominates eta."""
-    values = sorted(set(xi.values) | set(eta.values))
-    f_xi = Fraction(0)
-    f_eta = Fraction(0)
-    ix = ie = 0
-    for v in values:
-        while ix < len(xi.atoms) and xi.atoms[ix][0] <= v:
-            f_xi += xi.atoms[ix][1]
-            ix += 1
-        while ie < len(eta.atoms) and eta.atoms[ie][0] <= v:
-            f_eta += eta.atoms[ie][1]
-            ie += 1
-        if f_xi > f_eta:
-            return v
-    return None
+    return next((v for v, f_xi, f_eta in cdf_steps(xi, eta) if f_xi > f_eta), None)
 
 
 def check_fsd(xi: SimpleDist, eta: SimpleDist) -> bool:

@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import SimpleDist, as_rational
+from .dist import SimpleDist, as_rational, quantile_steps
 
 
 def _check_level(alpha) -> Fraction:
@@ -23,16 +23,7 @@ def _check_level(alpha) -> Fraction:
 
 def tail_integral(d: SimpleDist, alpha) -> Fraction:
     """Integral of the lower quantile function over (0, alpha], exact."""
-    alpha = _check_level(alpha)
-    total = Fraction(0)
-    cum = Fraction(0)
-    for value, prob in d.atoms:
-        if cum + prob < alpha:
-            total += value * prob
-            cum += prob
-        else:
-            return total + value * (alpha - cum)
-    raise AssertionError("unreachable: probabilities sum to 1")
+    return es_curve(d).tail_integral_at(alpha)
 
 
 def expected_shortfall(d: SimpleDist, alpha) -> Fraction:
@@ -100,30 +91,13 @@ def _gap_at_breakpoints(
     """(alpha, G(alpha)) at every merged breakpoint, where G(alpha) is the
     integral of (q_eta - q_xi) over (0, alpha].  G is piecewise linear
     with kinks only at these points and G(0) = 0.
-
-    Single merge pass over both step quantile functions.
     """
     out = []
-    ix = iy = 0
-    cx = xi.atoms[0][1]
-    cy = eta.atoms[0][1]
-    prev = Fraction(0)
-    gx = Fraction(0)
-    gy = Fraction(0)
-    while True:
-        level = cx if cx <= cy else cy
-        gx += xi.atoms[ix][0] * (level - prev)
-        gy += eta.atoms[iy][0] * (level - prev)
-        out.append((level, gy - gx))
-        if level == 1:
-            return out
-        prev = level
-        if cx == level:
-            ix += 1
-            cx += xi.atoms[ix][1]
-        if cy == level:
-            iy += 1
-            cy += eta.atoms[iy][1]
+    gap = Fraction(0)
+    for level, width, qx, qe in quantile_steps(xi, eta):
+        gap += (qe - qx) * width
+        out.append((level, gap))
+    return out
 
 
 def ssd_violation(xi: SimpleDist, eta: SimpleDist) -> Fraction | None:

@@ -10,6 +10,8 @@ byte-identical.
 `dumps` writes exactly the text of ``json.dumps(obj, indent=2) + "\\n"``,
 byte for byte, but builds it with string joins: CPython's C encoder does
 not handle `indent`, so json.dumps(indent=2) runs its pure-Python one.
+It takes only the plain trees divcert builds and raises TypeError on a
+float or a non-str key.
 
 Distribution files look like::
 
@@ -142,7 +144,8 @@ def coupling_to_obj(c: MartingaleCoupling) -> dict:
         "n": c.n,
         "row_values": [rational_str(v) for v in c.row_values],
         "col_values": [rational_str(v) for v in c.col_values],
-        "matrix": [[rational_str(x) for x in row] for row in c.matrix],
+        # most cells of a large coupling are zero: write them without Fraction.__str__
+        "matrix": [[rational_str(x) if x else "0" for x in row] for row in c.matrix],
     }
 
 
@@ -165,10 +168,6 @@ def lift_to_obj(res: LiftResult) -> dict:
         "lifted_xi": dist_to_obj(res.lifted_xi),
         "lifted_eta": dist_to_obj(res.lifted_eta),
     }
-
-
-class _NotPlain(Exception):
-    """The tree holds a value `_encode` leaves to json.dumps."""
 
 
 def _encode(x, newline: str) -> str:
@@ -198,7 +197,7 @@ def _encode(x, newline: str) -> str:
         items = []
         for k, v in x.items():
             if type(k) is not str:
-                raise _NotPlain
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
             items.append(encode_basestring_ascii(k) + ": " + _encode(v, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if x is None:
@@ -207,21 +206,18 @@ def _encode(x, newline: str) -> str:
         return "true"
     if x is False:
         return "false"
-    raise _NotPlain
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
     """Canonical JSON text: two-space indent, stable key order as built.
 
-    Equal to ``json.dumps(obj, indent=2) + "\\n"`` byte for byte.  Trees of
-    dicts with str keys, lists, tuples, str, int, bool and None are joined
-    here; any other value (a float, a non-str key) sends the whole
-    document through json.dumps.
+    Equal to ``json.dumps(obj, indent=2) + "\\n"`` byte for byte on trees of
+    dicts with str keys, lists, tuples, str, int, bool and None.  Any other
+    value raises TypeError: a float would break exactness, and every
+    number in divcert's output is written as a string or an int.
     """
-    try:
-        return _encode(obj, "\n") + "\n"
-    except _NotPlain:
-        return json.dumps(obj, indent=2) + "\n"
+    return _encode(obj, "\n") + "\n"
 
 
 def load_samples_csv(path: str) -> SimpleDist:

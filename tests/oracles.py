@@ -10,6 +10,9 @@ permutation columns.
 The naive_* references are the Fraction loops the library used before its
 sums moved to one common integer scale: one Fraction addition per term,
 merges keyed by Fraction.  They define what the integer code must equal.
+Likewise the hand-written merge loops over two step functions that risk,
+transport and dominance used before they became folds over the walkers
+in `divcert.dist` (naive_gap_at_breakpoints through naive_tail_integral).
 """
 
 from __future__ import annotations
@@ -95,6 +98,105 @@ def kantorovich_by_grid(a: SimpleDist, b: SimpleDist) -> Fraction:
     return sum(
         (abs(x - y) for x, y in zip(ga.values, gb.values)), Fraction(0)
     ) / n
+
+
+def naive_gap_at_breakpoints(
+    xi: SimpleDist, eta: SimpleDist
+) -> list[tuple[Fraction, Fraction]]:
+    """(alpha, integral of q_eta - q_xi over (0, alpha]) at every merged
+    breakpoint, by one merge pass over both step quantile functions."""
+    out = []
+    ix = iy = 0
+    cx = xi.atoms[0][1]
+    cy = eta.atoms[0][1]
+    prev = Fraction(0)
+    gx = Fraction(0)
+    gy = Fraction(0)
+    while True:
+        level = cx if cx <= cy else cy
+        gx += xi.atoms[ix][0] * (level - prev)
+        gy += eta.atoms[iy][0] * (level - prev)
+        out.append((level, gy - gx))
+        if level == 1:
+            return out
+        prev = level
+        if cx == level:
+            ix += 1
+            cx += xi.atoms[ix][1]
+        if cy == level:
+            iy += 1
+            cy += eta.atoms[iy][1]
+
+
+def naive_kantorovich(a: SimpleDist, b: SimpleDist) -> Fraction:
+    """Integral over (0,1] of |q_a - q_b|, by its own quantile merge loop."""
+    total = Fraction(0)
+    ia = ib = 0
+    ca = a.atoms[0][1]
+    cb = b.atoms[0][1]
+    prev = Fraction(0)
+    while True:
+        level = ca if ca <= cb else cb
+        total += abs(a.atoms[ia][0] - b.atoms[ib][0]) * (level - prev)
+        if level == 1:
+            return total
+        prev = level
+        if ca == level:
+            ia += 1
+            ca += a.atoms[ia][1]
+        if cb == level:
+            ib += 1
+            cb += b.atoms[ib][1]
+
+
+def naive_kantorovich_cdf(a: SimpleDist, b: SimpleDist) -> Fraction:
+    """Integral over the reals of |F_a - F_b|, by its own CDF merge loop."""
+    values = sorted(set(a.values) | set(b.values))
+    total = Fraction(0)
+    fa = Fraction(0)
+    fb = Fraction(0)
+    ia = ib = 0
+    for left, right in zip(values, values[1:]):
+        while ia < len(a.atoms) and a.atoms[ia][0] <= left:
+            fa += a.atoms[ia][1]
+            ia += 1
+        while ib < len(b.atoms) and b.atoms[ib][0] <= left:
+            fb += b.atoms[ib][1]
+            ib += 1
+        total += abs(fa - fb) * (right - left)
+    return total
+
+
+def naive_fsd_violation(xi: SimpleDist, eta: SimpleDist) -> Fraction | None:
+    """Smallest merged atom value v with P(xi <= v) > P(eta <= v), or None."""
+    values = sorted(set(xi.values) | set(eta.values))
+    f_xi = Fraction(0)
+    f_eta = Fraction(0)
+    ix = ie = 0
+    for v in values:
+        while ix < len(xi.atoms) and xi.atoms[ix][0] <= v:
+            f_xi += xi.atoms[ix][1]
+            ix += 1
+        while ie < len(eta.atoms) and eta.atoms[ie][0] <= v:
+            f_eta += eta.atoms[ie][1]
+            ie += 1
+        if f_xi > f_eta:
+            return v
+    return None
+
+
+def naive_tail_integral(d: SimpleDist, alpha: Fraction) -> Fraction:
+    """Integral of the lower quantile function over (0, alpha], alpha in
+    (0, 1]: full steps below alpha plus one partial step."""
+    total = Fraction(0)
+    cum = Fraction(0)
+    for value, prob in d.atoms:
+        if cum + prob < alpha:
+            total += value * prob
+            cum += prob
+        else:
+            return total + value * (alpha - cum)
+    raise AssertionError("unreachable: probabilities sum to 1")
 
 
 def reconstruct_slots(

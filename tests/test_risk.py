@@ -18,6 +18,7 @@ from divcert import (
     ssd_violation,
     tail_integral,
 )
+from divcert.demo import gamma_mean_quantile_dist
 
 COIN = SimpleDist.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
 
@@ -45,6 +46,8 @@ class TestExpectedShortfall:
         for bad in (0, F(-1, 2), F(3, 2)):
             with pytest.raises(ValueError):
                 expected_shortfall(COIN, bad)
+            with pytest.raises(ValueError):
+                tail_integral(COIN, bad)
 
     def test_matches_tail_enumeration_oracle(self):
         rng = random.Random(4)
@@ -95,7 +98,7 @@ class TestESCurve:
             curve = es_curve(d)
             assert curve.breakpoints[-1] == (F(1), d.mean())
             for alpha in curve.alphas:
-                assert curve.tail_integral_at(alpha) == tail_integral(d, alpha)
+                assert curve.tail_integral_at(alpha) == oracles.naive_tail_integral(d, alpha)
                 assert curve.es_at(alpha) == expected_shortfall(d, alpha)
 
     def test_interpolation_is_exact(self):
@@ -104,7 +107,7 @@ class TestESCurve:
             d = helpers.rand_dist(rng)
             curve = es_curve(d)
             alpha = F(rng.randint(1, 48), 48)
-            assert curve.tail_integral_at(alpha) == tail_integral(d, alpha)
+            assert curve.tail_integral_at(alpha) == oracles.naive_tail_integral(d, alpha)
 
 
 class TestSsdGap:
@@ -142,3 +145,14 @@ class TestSsdGap:
             ]
             assert all(v <= gap for v in seen)
             assert gap == 0 or gap in seen
+
+
+class TestLlnStages:
+    def test_each_stage_second_order_dominates_the_one_before(self):
+        # averaging twice as many terms is less risky, though the discretized
+        # means differ, so no stage is a diversification of another
+        stages = [gamma_mean_quantile_dist(2**k, 64) for k in range(4)]
+        for coarse, fine in zip(stages, stages[1:]):
+            assert ssd_violation(fine, coarse) is None
+            assert ssd_violation(coarse, fine) is not None
+            assert fine.mean() != coarse.mean()

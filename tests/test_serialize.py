@@ -217,7 +217,6 @@ leaves = st.one_of(
     ints,
     st.booleans(),
     st.none(),
-    st.floats(),
     st.lists(texts, max_size=4),
     st.lists(ints, max_size=4),
 )
@@ -227,7 +226,6 @@ json_trees = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(texts, children, max_size=4),
-        st.dictionaries(st.integers(-5, 5), children, max_size=3),
     ),
     max_leaves=20,
 )
@@ -238,6 +236,14 @@ class TestDumps:
     @settings(max_examples=150, deadline=None)
     def test_equals_json_dumps_indent_2(self, tree):
         assert dumps(tree) == json.dumps(tree, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "tree",
+        [1.5, [1, 2.0], {"gap": float("nan")}, {1: "a"}, [{"ok": [{0: None}]}], {"s": {1, 2}}],
+    )
+    def test_rejects_what_is_not_a_plain_tree(self, tree):
+        with pytest.raises(TypeError):
+            dumps(tree)
 
     def test_bundle_shapes(self):
         rng = random.Random(5)
