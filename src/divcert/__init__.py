@@ -28,7 +28,6 @@ from .dist import (
     DEFAULT_GRID_CAP,
     GridCapError,
     JointDist,
-    Rational,
     SimpleDist,
     UniformGrid,
     as_rational,
@@ -76,7 +75,6 @@ __all__ = [
     "MartingaleCoupling",
     "MeansDifferError",
     "PermutationCertificate",
-    "Rational",
     "SimpleDist",
     "SsdViolatedError",
     "TTransform",

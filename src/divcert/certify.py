@@ -42,17 +42,18 @@ a peel round re-matches only the blocks whose support it changed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import add, mul
+from itertools import accumulate, groupby
+from operator import add, mul, sub
 
 from .dist import (
     DEFAULT_GRID_CAP,
     JointDist,
     SimpleDist,
     UniformGrid,
+    _dist_on_scale,
     common_refinement,
     common_scale,
 )
@@ -301,9 +302,7 @@ def _scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[list[list[int
             ri[k] = qp * x + p * y
             rj[k] = p * x + qp * y
         denoms[tr.i] = denoms[tr.j] = q * lcm_ij
-    L = 1
-    for d in denoms:
-        L = L // math.gcd(L, d) * d
+    L = math.lcm(*denoms)
     for i in range(n):
         m = L // denoms[i]
         if m != 1:
@@ -521,37 +520,30 @@ def lift_delta_gamma(
 ) -> LiftResult:
     """Lift an arbitrary pair to one where certification applies.
 
-    On the common refinement (x sorted, y sorted), the slot slacks are
-    built iteratively: delta_k = max(0, sum_{i<=k} y_i - sum_{i<=k} x_i
-    - sum_{i<k} delta_i), which forces every prefix of x + delta to
-    dominate the matching prefix of y while keeping x + delta sorted.
-    The top slot of y then absorbs gamma_top = sum(x) + sum(delta) -
-    sum(y) >= 0 so both lifted grids share the same mean.  The mean of
-    delta equals the dominance gap of the original pair exactly.
+    On the common refinement (x, y sorted) let S_k = sum_{i<=k} (y_i - x_i).
+    The prefix sums of delta are the running maximum of S clamped below at
+    0, M_k = max(0, S_1, ..., S_k): the least that make every prefix of
+    x + delta dominate that of y, and delta_k = M_k - M_{k-1} keeps x + delta
+    sorted.  The top slot of y absorbs gamma_top = M_n - S_n >= 0, so both
+    lifted grids share one mean, and the mean of delta, M_n / n, equals the
+    dominance gap exactly.  All of it runs on one integer scale.
     """
     gx, gy = common_refinement(xi, eta, cap)
-    x = gx.values
-    y = gy.values
-    n = len(x)
-    delta = []
-    running = Fraction(0)  # prefix of y - prefix of x - prefix of delta
-    for xk, yk in zip(x, y):
-        running += yk - xk
-        d = max(Fraction(0), running)
-        delta.append(d)
-        running -= d
-    gamma_top = sum(x) + sum(delta) - sum(y)
-    lifted_x = [xv + dv for xv, dv in zip(x, delta)]
-    lifted_y = list(y)
-    lifted_y[-1] += gamma_top
-    share = Fraction(1, n)
+    n = gx.n
+    nums, den = common_scale(gx.values + gy.values)
+    xnums, ynums = nums[:n], nums[n:]
+    prefix = list(accumulate(map(sub, ynums, xnums)))  # S_1 .. S_n
+    peaks = list(accumulate(prefix, max, initial=0))  # M_0 = 0, M_1 .. M_n
+    slack = list(map(sub, peaks[1:], peaks))
+    gamma_num = peaks[-1] - prefix[-1]
+    ynums[-1] += gamma_num
     return LiftResult(
-        xi_grid=x,
-        eta_grid=y,
-        delta=tuple(delta),
-        gamma_top=gamma_top,
-        lifted_xi=SimpleDist.from_pairs((v, share) for v in lifted_x),
-        lifted_eta=SimpleDist.from_pairs((v, share) for v in lifted_y),
+        xi_grid=gx.values,
+        eta_grid=gy.values,
+        delta=tuple(Fraction(d, den) for d in slack),
+        gamma_top=Fraction(gamma_num, den),
+        lifted_xi=_dist_on_scale(Counter(map(add, xnums, slack)), den, n),
+        lifted_eta=_dist_on_scale(Counter(ynums), den, n),
     )
 
 
@@ -560,9 +552,8 @@ def decompose_ssd(xi: SimpleDist, eta: SimpleDist) -> DecompositionResult:
     equal-means step.
 
     When the means already agree, zeta = xi.  Otherwise the truncation
-    level c solves E min(xi, c) = E eta on the piecewise-linear
-    increasing map y -> E min(xi, y), in closed form on the segment
-    located by bisection, and zeta = min(xi, c).
+    level c solves E min(xi, c) = E eta, found by one walk up the atoms
+    of xi along the increasing map y -> E min(xi, y), and zeta = min(xi, c).
     """
     alpha = ssd_violation(xi, eta)
     if alpha is not None:
@@ -571,34 +562,18 @@ def decompose_ssd(xi: SimpleDist, eta: SimpleDist) -> DecompositionResult:
     if xi.mean() == target:
         return DecompositionResult(c=None, zeta=xi)
 
-    probs = xi.probs
-    # g(v_k) for every atom; g(y) = E min(xi, y) is linear between atoms
-    # with slope P(xi > v_k) and equals y below the support.
-    g_at = []
-    below_mass = Fraction(0)  # E[xi; xi < v_k]
-    cum = Fraction(0)  # P(xi < v_k)
+    # g(y) = E min(xi, y) is head + y * tail on the segment ending at the
+    # atom v just above y, with head = E[xi; xi < v] and tail = P(xi >= v);
+    # the walk stops at the first v with g(v) >= E eta
+    head = Fraction(0)
+    tail = Fraction(1)
     for v, p in xi.atoms:
-        g_at.append(below_mass + v * (1 - cum))
-        below_mass += v * p
-        cum += p
-
-    if target <= g_at[0]:
-        c = target  # g(y) = y below the smallest atom
-    else:
-        k = bisect_left(g_at, target) - 1  # largest k with g_at[k] < target
-        head_mass = sum((v * p for v, p in xi.atoms[: k + 1]), Fraction(0))
-        tail_prob = 1 - sum(probs[: k + 1], Fraction(0))
-        c = (target - head_mass) / tail_prob
-
-    mass_at_c = Fraction(0)
-    pairs = []
-    for v, p in xi.atoms:
-        if v < c:
-            pairs.append((v, p))
-        else:
-            mass_at_c += p
-    pairs.append((c, mass_at_c))
-    zeta = SimpleDist.from_pairs(pairs)
+        if head + v * tail >= target:
+            break
+        head += v * p
+        tail -= p
+    c = (target - head) / tail
+    zeta = SimpleDist.from_pairs((min(v, c), p) for v, p in xi.atoms)
     if zeta.mean() != target:
         raise AssertionError("truncation failed to match the target mean")
     return DecompositionResult(c=c, zeta=zeta)

@@ -27,6 +27,16 @@ from .dist import SimpleDist, dirac, from_samples
 from .risk import expected_shortfall
 from .transport import kantorovich
 
+#: Deepest stage lln_table builds: the quantile call takes the shape 2**k
+#: as a double, and 2**1024 is past the largest one (OverflowError).
+MAX_DOUBLINGS = 1023
+
+#: Most exponentials the seeded mode of lln_table draws over all its stages,
+#: grid * (2**(max_doublings + 1) - 1).  The deepest table it admits at the
+#: default grid of 1024, 12 doublings, took 4.7 s on a 2-core x86-64 box
+#: (CPython 3.11); each further doubling would double that.
+MAX_SAMPLED_DRAWS = 10**7
+
 
 def gamma_mean_quantile_dist(n_terms: int, grid: int) -> SimpleDist:
     """Deterministic `grid`-point discretization of the law of the average
@@ -71,6 +81,11 @@ def lln_table(
     Shortfall at `alpha` and the transport distance to the point mass at 1."""
     if max_doublings < 0:
         raise ValueError("max_doublings must be non-negative")
+    if max_doublings > MAX_DOUBLINGS:
+        raise ValueError(f"max_doublings must be at most {MAX_DOUBLINGS}")
+    if seed is not None and grid * (2 ** (max_doublings + 1) - 1) > MAX_SAMPLED_DRAWS:
+        raise ValueError(f"sampling {max_doublings} doublings on a grid of {grid} "
+                         f"draws more than {MAX_SAMPLED_DRAWS} exponentials")
     limit = dirac(1)
     rows = []
     for k in range(max_doublings + 1):

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-Rational = Fraction
-
-#: expand_to_uniform_grid refuses to build grids larger than this by default;
-#: lcm blowup of probability denominators is the one real resource hazard.
+#: Default slot cap of expand_to_uniform_grid and common_refinement, and so
+#: of `divcert check majorization` and lift_delta_gamma, whose work is linear
+#: in the slots: the lcm of the probability denominators is what blows up.
+#: The certificate constructions hold n x n integers and default to the far
+#: lower certify.CERTIFY_SLOT_CAP.
 DEFAULT_GRID_CAP = 10**6
 
 #: as_rational refuses decimal strings whose exponent exceeds this in
@@ -302,29 +303,30 @@ def regrid(d: SimpleDist, n: int) -> UniformGrid:
     return UniformGrid(tuple(values))
 
 
-def expand_to_uniform_grid(d: SimpleDist, cap: int = DEFAULT_GRID_CAP) -> UniformGrid:
-    """Smallest uniform-grid representation of `d` (n = lcm of probability
-    denominators).  Refuses grids above `cap` atoms; quantize the
-    probabilities first if that happens."""
-    n = math.lcm(*(p.denominator for p in d.probs))
+def _grid_size(probs: Sequence[Fraction], cap: int) -> int:
+    """Slots of the smallest uniform grid carrying every probability in
+    `probs` exactly (the lcm of their denominators), refused above `cap`."""
+    n = math.lcm(*(p.denominator for p in probs))
     if n > cap:
         raise GridCapError(
             f"uniform refinement needs {n} atoms, above the cap of {cap}; "
             "quantize the probabilities to a coarser denominator first"
         )
-    return regrid(d, n)
+    return n
+
+
+def expand_to_uniform_grid(d: SimpleDist, cap: int = DEFAULT_GRID_CAP) -> UniformGrid:
+    """Smallest uniform-grid representation of `d` (n = lcm of probability
+    denominators).  Refuses grids above `cap` atoms; quantize the
+    probabilities first if that happens."""
+    return regrid(d, _grid_size(d.probs, cap))
 
 
 def common_refinement(
     a: SimpleDist, b: SimpleDist, cap: int = DEFAULT_GRID_CAP
 ) -> tuple[UniformGrid, UniformGrid]:
     """Uniform grids of a shared size representing `a` and `b` exactly."""
-    n = math.lcm(*(p.denominator for p in a.probs + b.probs))
-    if n > cap:
-        raise GridCapError(
-            f"common refinement needs {n} atoms, above the cap of {cap}; "
-            "quantize the probabilities to a coarser denominator first"
-        )
+    n = _grid_size(a.probs + b.probs, cap)
     return regrid(a, n), regrid(b, n)
 
 

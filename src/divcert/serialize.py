@@ -33,15 +33,27 @@ from .certify import LiftResult, MartingaleCoupling, PermutationCertificate
 from .dist import JointDist, SimpleDist, as_rational
 
 
+def _too_long(x: Fraction) -> str | None:
+    """None when str(x) stays within the interpreter's int-to-str digit
+    limit (0, or a Python before 3.10.7, means none); otherwise the size of
+    x against it.  An integer of b bits has at most floor(b * 0.30103) + 1
+    digits, so only a value near the limit pays for a str()."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    if limit and bits * 30103 // 100000 >= limit:
+        try:
+            str(x)
+        except ValueError:
+            return (f"an integer of about {int(bits * 0.30103) + 1} digits, "
+                    f"more than the {limit} digits divcert prints")
+    return None
+
+
 def rational_str(x: Fraction) -> str:
     try:
         return str(x)
     except ValueError:  # an int past the interpreter's digit limit
-        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-        raise ValueError(
-            f"the exact result has an integer of about {int(bits * 0.30103) + 1} digits, "
-            f"more than the {sys.get_int_max_str_digits()} digits divcert prints"
-        ) from None
+        raise ValueError(f"the exact result has {_too_long(x)}") from None
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:
@@ -235,11 +247,18 @@ def load_samples_csv(path: str) -> SimpleDist:
 
 def load_dist(path: str) -> SimpleDist:
     """Read a distribution: JSON atom files, or .csv sample files (one
-    value per line, equal weights)."""
+    value per line, equal weights).  An atom that divcert could not print
+    is refused here, before any command spends time on it."""
     if path.endswith(".csv"):
-        return load_samples_csv(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return dist_from_obj(json.load(fh))
+        d = load_samples_csv(path)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = dist_from_obj(json.load(fh))
+    for atom in d.atoms:
+        for x in atom:
+            if problem := _too_long(x):
+                raise ValueError(f"{path}: an atom holds {problem}")
+    return d
 
 
 def save_text(path: str, text: str) -> None:

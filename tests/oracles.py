@@ -12,22 +12,30 @@ sums moved to one common integer scale: one Fraction addition per term,
 merges keyed by Fraction.  They define what the integer code must equal.
 Likewise the hand-written merge loops over two step functions that risk,
 transport and dominance used before they became folds over the walkers
-in `divcert.dist` (naive_gap_at_breakpoints through naive_tail_integral).
+in `divcert.dist` (naive_gap_at_breakpoints through naive_tail_integral),
+and the step-by-step recurrences behind the lift and the SSD split before
+they became closed forms (naive_lift_delta_gamma, naive_decompose_ssd).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from divcert import (
+    DecompositionResult,
     JointDist,
+    LiftResult,
     SimpleDist,
+    SsdViolatedError,
     UniformGrid,
+    common_refinement,
     expand_to_uniform_grid,
     as_rational,
     regrid,
+    ssd_violation,
 )
 from divcert.matching import lex_min_perfect_matching
 
@@ -348,6 +356,70 @@ def naive_validate_coupling(n, matrix, row_values, col_values) -> None:
     if any(c != share for c in col_sums):
         raise ValueError(f"column sums must all be 1/{n}")
 
+
+
+def naive_lift_delta_gamma(xi: SimpleDist, eta: SimpleDist) -> LiftResult:
+    """The slot slacks built one Fraction step at a time: delta_k = max(0,
+    sum_{i<=k} y_i - sum_{i<=k} x_i - sum_{i<k} delta_i), then gamma_top =
+    sum(x) + sum(delta) - sum(y) from three Fraction sums."""
+    gx, gy = common_refinement(xi, eta)
+    x = gx.values
+    y = gy.values
+    n = len(x)
+    delta = []
+    running = Fraction(0)  # prefix of y - prefix of x - prefix of delta
+    for xk, yk in zip(x, y):
+        running += yk - xk
+        d = max(Fraction(0), running)
+        delta.append(d)
+        running -= d
+    gamma_top = sum(x) + sum(delta) - sum(y)
+    lifted_x = [xv + dv for xv, dv in zip(x, delta)]
+    lifted_y = list(y)
+    lifted_y[-1] += gamma_top
+    share = Fraction(1, n)
+    return LiftResult(
+        xi_grid=x,
+        eta_grid=y,
+        delta=tuple(delta),
+        gamma_top=gamma_top,
+        lifted_xi=SimpleDist.from_pairs((v, share) for v in lifted_x),
+        lifted_eta=SimpleDist.from_pairs((v, share) for v in lifted_y),
+    )
+
+
+def naive_decompose_ssd(xi: SimpleDist, eta: SimpleDist) -> DecompositionResult:
+    """The truncation level from g(v_k) = E min(xi, v_k) tabulated at every
+    atom, the segment found by bisection and its two prefixes re-summed."""
+    alpha = ssd_violation(xi, eta)
+    if alpha is not None:
+        raise SsdViolatedError(alpha)
+    target = eta.mean()
+    if xi.mean() == target:
+        return DecompositionResult(c=None, zeta=xi)
+    g_at = []
+    below_mass = Fraction(0)  # E[xi; xi < v_k]
+    cum = Fraction(0)  # P(xi < v_k)
+    for v, p in xi.atoms:
+        g_at.append(below_mass + v * (1 - cum))
+        below_mass += v * p
+        cum += p
+    if target <= g_at[0]:
+        c = target  # g(y) = y below the smallest atom
+    else:
+        k = bisect_left(g_at, target) - 1  # largest k with g_at[k] < target
+        head_mass = sum((v * p for v, p in xi.atoms[: k + 1]), Fraction(0))
+        tail_prob = 1 - sum(xi.probs[: k + 1], Fraction(0))
+        c = (target - head_mass) / tail_prob
+    mass_at_c = Fraction(0)
+    pairs = []
+    for v, p in xi.atoms:
+        if v < c:
+            pairs.append((v, p))
+        else:
+            mass_at_c += p
+    pairs.append((c, mass_at_c))
+    return DecompositionResult(c=c, zeta=SimpleDist.from_pairs(pairs))
 
 def lp_feasible(
     columns: list[list[Fraction]], rhs: list[Fraction]

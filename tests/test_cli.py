@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,7 @@ from divcert import (
     verify_div1_certificate,
     verify_div2_instance,
 )
-from divcert import certify
+from divcert import certify, cli, demo
 from divcert.cli import main
 from divcert.serialize import (
     certificate_from_obj,
@@ -265,6 +266,38 @@ class TestBadInput:
         assert err.startswith("error: ") and "4300 digits" in err
         assert "set_int_max_str_digits" not in err
 
+    def test_unprintable_input_is_refused_up_front(self, files, capsys, monkeypatch):
+        def no_bundle(xi, eta):
+            raise AssertionError("the input must be refused before the construction")
+
+        monkeypatch.setattr(cli, "certify_bundle", no_bundle)
+        json_path = self._atoms_file(files["tmp"], [{"v": "1e4300", "p": "1"}])
+        csv_path = files["tmp"] / "huge.csv"
+        csv_path.write_text("0\n1e4300\n")
+        for bad in (json_path, str(csv_path)):
+            assert main(["certify", bad, bad]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and "4300 digits" in err
+
+    def test_a_digit_limit_of_zero_refuses_nothing(self, files, capsys):
+        bad = self._atoms_file(files["tmp"], [{"v": "1e4300", "p": "1"}])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert main(["es", bad, "--alpha", "1"]) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().out.startswith("-1" + "0" * 4300 + " ")
+
+    def test_unprintable_result_of_printable_inputs(self, files, capsys):
+        # both Diracs print (4300 digits each), their distance has 4301
+        up = self._atoms_file(files["tmp"], [{"v": "9e4299", "p": "1"}])
+        down = files["tmp"] / "down.json"
+        down.write_text(json.dumps({"atoms": [{"v": "-9e4299", "p": "1"}]}))
+        assert main(["kantorovich", up, str(down)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the exact result") and "4300 digits" in err
+
     def test_certify_slot_cap(self, files, capsys, monkeypatch):
         # 1031 is prime, so the common refinement needs 1031 slots
         pair = dumps(dist_to_obj(SimpleDist.from_pairs([(0, F(1, 1031)), (1, F(1030, 1031))])))
@@ -321,3 +354,15 @@ class TestDemo:
     def test_invalid_parameters(self, capsys):
         assert main(["demo-lln", "--max-doublings", "-1"]) == 2
         assert main(["demo-lln", "--grid", "0"]) == 2
+
+    def test_resource_limits_fail_before_any_stage(self, capsys, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("the limits must refuse the table before any stage")
+
+        monkeypatch.setattr(demo, "gamma_mean_quantile_dist", no_stage)
+        monkeypatch.setattr(demo, "sampled_mean_dist", no_stage)
+        too_deep = str(demo.MAX_DOUBLINGS + 1)
+        assert main(["demo-lln", "--max-doublings", too_deep, "--grid", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: max_doublings")
+        assert main(["demo-lln", "--max-doublings", "30", "--grid", "64", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: sampling 30 doublings")

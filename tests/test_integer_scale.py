@@ -1,9 +1,12 @@
-"""The integer-scale sums against the Fraction loops they replaced.
+"""The integer-scale sums and closed forms against the Fraction loops
+they replaced.
 
 Every proof-layer sum brings its Fractions to one common denominator and
-adds integer numerators.  The references in `oracles` (naive_*) are the
-Fraction loops the library used before; here both run on drawn inputs
-and must give equal results, or fail with the same ValueError message.
+adds integer numerators; the lift and the SSD split are closed forms of
+what were step-by-step recurrences.  The references in `oracles`
+(naive_*) are the Fraction loops the library used before; here both run
+on drawn inputs and must give equal results, or fail with the same
+ValueError message.
 """
 
 from fractions import Fraction as F
@@ -19,7 +22,9 @@ from divcert import (
     PermutationCertificate,
     SimpleDist,
     convex_combination,
+    decompose_ssd,
     dirac,
+    lift_delta_gamma,
     mixture,
     simplex_weights,
 )
@@ -141,6 +146,28 @@ def perturbed(draw, rows):
     return tuple(tuple(r) for r in rows)
 
 
+@st.composite
+def slack_pairs(draw):
+    """(xi, eta) of every shape the lift and the SSD split treat apart:
+    unrelated pairs, xi = eta, two Diracs, pairs where xi already
+    dominates with equal means (gap 0), and such pairs with xi shifted up,
+    which need top-slot slack only."""
+    kind = draw(st.sampled_from(["random", "equal", "dirac", "gap_zero", "top_only"]))
+    if kind == "random":
+        return draw(dists()), draw(dists())
+    if kind == "equal":
+        d = draw(dists())
+        return d, d
+    if kind == "dirac":
+        return dirac(draw(values)), dirac(draw(values))
+    eta = draw(dists())
+    w = draw(st.builds(F, st.integers(1, 4), st.just(4)))
+    xi = mixture([dirac(eta.mean()), eta], [w, 1 - w])  # less spread, same mean
+    if kind == "top_only":
+        xi = xi.shift(draw(st.builds(F, st.integers(1, 12), st.sampled_from(VALUE_DENS))))
+    return xi, eta
+
+
 class TestSums:
     @given(st.lists(values, min_size=0, max_size=5), st.booleans())
     def test_simplex_weights(self, raw, normalize):
@@ -193,6 +220,21 @@ class TestSums:
         assert failure(lambda: MartingaleCoupling(*args)) == failure(
             lambda: oracles.naive_validate_coupling(*args)
         )
+
+
+class TestSlackConstructions:
+    @given(slack_pairs())
+    @settings(deadline=None)
+    def test_lift(self, pair):
+        assert lift_delta_gamma(*pair) == oracles.naive_lift_delta_gamma(*pair)
+
+    @given(slack_pairs())
+    @settings(deadline=None)
+    def test_decompose(self, pair):
+        expected = failure(lambda: oracles.naive_decompose_ssd(*pair))
+        assert failure(lambda: decompose_ssd(*pair)) == expected
+        if expected is None:
+            assert decompose_ssd(*pair) == oracles.naive_decompose_ssd(*pair)
 
 
 class TestEdges:
