@@ -12,6 +12,19 @@ the sums, merges and comparisons run on the integer numerators, and
 Fractions are made only for the final result.  A Fraction sum would
 normalize by a gcd at every step and hash every value it merges.
 
+Both sides of the diversification definition, the law of sum_i w_i X_i
+and the mixture of the marginals, are folds over one integer view of a
+joint law and a weight vector (`JointDist._on_scale`): the weights are
+validated once, and each cell's numerator and denominator are read once.
+The view reads cells by value and keys nothing on identity or hash.  A
+joint that certify builds shares one Fraction object per value among its
+cells, but a parsed one shares none, so a memo keyed on id() only adds a
+dict insert per cell there; and hashing the cells costs more than the
+whole view.  For the 11,200 cells of an n = 64 certificate (2-core
+x86-64, Python 3.11), a set of them takes 6 ms to build when built and
+13 ms when parsed; reading every numerator and denominator takes 1.6 ms,
+and the whole view about 3 ms.
+
 Two walkers are the only code that steps through two distributions
 together: `quantile_steps` over the merged cumulative probabilities,
 `cdf_steps` over the merged atom values.  Risk, transport and dominance
@@ -21,9 +34,12 @@ fold over them.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from operator import attrgetter, gt, mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 #: Default slot cap of expand_to_uniform_grid and common_refinement, and so
 #: of `divcert check majorization` and lift_delta_gamma, whose work is linear
@@ -38,6 +54,9 @@ DEFAULT_GRID_CAP = 10**6
 #: but a 16,610-bit denominator, and the parse time grows about 49-fold
 #: per decade of the exponent.
 MAX_DECIMAL_EXPONENT = 4300
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 class GridCapError(ValueError):
@@ -83,8 +102,9 @@ def as_rational(x) -> Fraction:
 def common_scale(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Numerators of the rationals `xs` over their least common denominator,
     and that denominator: x_i == nums[i] / den for every i."""
-    den = math.lcm(*{x.denominator for x in xs})
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    dens = list(map(_denominator, xs))
+    den = math.lcm(*set(dens))
+    return list(map(mul, map(_numerator, xs), map(den.__floordiv__, dens))), den
 
 
 def simplex_weights(weights: Sequence, size: int | None = None) -> tuple[Fraction, ...]:
@@ -123,7 +143,6 @@ class SimpleDist:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("a distribution needs at least one atom")
-        total = Fraction(0)
         prev = None
         for value, prob in self.atoms:
             if not isinstance(value, Fraction) or not isinstance(prob, Fraction):
@@ -133,9 +152,9 @@ class SimpleDist:
             if prev is not None and value <= prev:
                 raise ValueError("values must be strictly increasing")
             prev = value
-            total += prob
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        nums, den = common_scale([p for _, p in self.atoms])
+        if sum(nums) != den:
+            raise ValueError(f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple]) -> "SimpleDist":
@@ -260,14 +279,20 @@ class UniformGrid:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not self.values:
+        values = self.values
+        if not values:
             raise ValueError("a grid needs at least one value")
-        for prev, cur in zip(self.values, self.values[1:]):
+        if all(map(isinstance, values, repeat(Fraction))):
+            nums, _ = common_scale(values)
+            if any(map(gt, nums, nums[1:])):
+                raise ValueError("grid values must be sorted non-decreasing")
+            return
+        # some value is no Fraction: check the order first, by the values'
+        # own comparisons (a TypeError where they do not compare), then the type
+        for prev, cur in zip(values, values[1:]):
             if cur < prev:
                 raise ValueError("grid values must be sorted non-decreasing")
-        for v in self.values:
-            if not isinstance(v, Fraction):
-                raise ValueError("grid values must be Fractions")
+        raise ValueError("grid values must be Fractions")
 
     @staticmethod
     def from_values(values: Iterable) -> "UniformGrid":
@@ -420,40 +445,69 @@ class JointDist:
         pass over the atoms without building the m marginals:
         P(x) = sum over atoms (vec, p) of p * sum_{i: vec_i = x} w_i.
         """
-        live, wden, vden = self._live_coordinates(weights)
-        pnums, pden = common_scale([p for _, p in self.atoms])
-        mass: dict[int, int] = {}
-        for (vec, _), pn in zip(self.atoms, pnums):
-            for i, wn in live:
-                v = vec[i]
-                k = v.numerator * (vden // v.denominator)
-                mass[k] = mass.get(k, 0) + wn * pn
-        return _dist_on_scale(mass, vden, wden * pden)
+        return self._on_scale(weights).mixture()
 
-    def _live_coordinates(self, weights: Sequence) -> tuple[list[tuple[int, int]], int, int]:
-        """Validate `weights` and bring them and the coordinates they touch
-        to integer scales: returns ([(i, w_i * wden) for w_i > 0], wden,
-        vden), where vden is the common denominator of every coordinate
-        with positive weight."""
+    def _on_scale(self, weights: Sequence) -> "_ScaledJoint":
+        """Validate `weights` and bring them, the probabilities and every
+        coordinate with positive weight to integer scales.  Each cell's
+        numerator and denominator are read once, by value: the cells of a
+        parsed joint are distinct objects even where their values repeat."""
         ws = simplex_weights(weights, self.m)
-        idx = [i for i, w in enumerate(ws) if w]
-        wnums, wden = common_scale([ws[i] for i in idx])
-        vden = math.lcm(*{vec[i].denominator for vec, _ in self.atoms for i in idx})
-        return list(zip(idx, wnums)), wden, vden
+        live = [i for i, w in enumerate(ws) if w]
+        wnums, wden = common_scale([ws[i] for i in live])
+        pnums, pden = common_scale([p for _, p in self.atoms])
+        if len(live) == len(ws):
+            vecs = [vec for vec, _ in self.atoms]
+        else:
+            vecs = [list(map(vec.__getitem__, live)) for vec, _ in self.atoms]
+        cells, vden = common_scale(list(chain.from_iterable(vecs)))
+        width = len(live)
+        rows = [cells[start:start + width] for start in range(0, len(cells), width)]
+        return _ScaledJoint(rows, vden, wnums, wden, pnums, pden)
+
+
+class _ScaledJoint(NamedTuple):
+    """A joint law restricted to the coordinates of positive weight, on
+    integer scales: cell j of atom a is rows[a][j] / vden, its coordinate's
+    weight is wnums[j] / wden and the atom's probability pnums[a] / pden.
+    Both sides of the diversification definition are folds over it."""
+
+    rows: list[list[int]]
+    vden: int
+    wnums: list[int]
+    wden: int
+    pnums: list[int]
+    pden: int
+
+    def convex_combination(self) -> SimpleDist:
+        """Law of sum_i w_i X_i: one integer dot product per atom."""
+        wnums = self.wnums
+        mass: dict[int, int] = {}
+        for row, pn in zip(self.rows, self.pnums):
+            s = sum(map(mul, wnums, row))
+            mass[s] = mass.get(s, 0) + pn
+        return _dist_on_scale(mass, self.wden * self.vden, self.pden)
+
+    def mixture(self) -> SimpleDist:
+        """Law of X_K for K ~ weights: cell i of an atom of probability p
+        adds w_i * p at its value.  Atoms of equal probability share one sum
+        of weights per value, multiplied by p once."""
+        wnums = self.wnums
+        by_prob: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+        for row, pn in zip(self.rows, self.pnums):
+            weight_at = by_prob[pn]
+            for k, wn in zip(row, wnums):
+                weight_at[k] += wn
+        mass: defaultdict[int, int] = defaultdict(int)
+        for pn, weight_at in by_prob.items():
+            for k, wsum in weight_at.items():
+                mass[k] += pn * wsum
+        return _dist_on_scale(mass, self.vden, self.wden * self.pden)
 
 
 def convex_combination(j: JointDist, weights: Sequence) -> SimpleDist:
     """Distribution of the scalar sum_i w_i X_i under the joint law `j`."""
-    live, wden, vden = j._live_coordinates(weights)
-    pnums, pden = common_scale([p for _, p in j.atoms])
-    mass: dict[int, int] = {}
-    for (vec, _), pn in zip(j.atoms, pnums):
-        s = 0
-        for i, wn in live:
-            v = vec[i]
-            s += wn * v.numerator * (vden // v.denominator)
-        mass[s] = mass.get(s, 0) + pn
-    return _dist_on_scale(mass, wden * vden, pden)
+    return j._on_scale(weights).convex_combination()
 
 
 def quantize_values(d: SimpleDist, q: int) -> SimpleDist:

@@ -9,8 +9,10 @@ is a proof.  They sum over one common integer scale: the slot-wise
 combination of a certificate, the convex combination of a joint law and
 the mixture of its marginals each bring their Fractions to a least
 common denominator, add integer numerators and make Fractions only for
-the distribution they compare.  The verifiers import nothing from the
-construction code in `certify` at runtime.
+the distribution they compare.  The last two are folds over one integer
+view of the joint, built once per check; it reads cells by value, as
+parsed bundles share no cell objects (see `divcert.dist`).  The verifiers
+import nothing from the construction code in `certify` at runtime.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .dist import (
     SimpleDist,
     UniformGrid,
     cdf_steps,
-    convex_combination,
     regrid,
-    simplex_weights,
 )
 from .risk import ssd_violation
 
@@ -126,9 +126,8 @@ def verify_div2_instance(
 ) -> bool:
     """Check a weighted-position witness: the convex combination of the
     joint coordinates must equal xi and the mixture of its marginals must
-    equal eta, both exactly.  The mixture is read off the joint's atoms in
-    one pass; no marginal is built."""
-    ws = simplex_weights(weights, joint.m)
-    if convex_combination(joint, ws) != xi:
-        return False
-    return joint.mixture_of_marginals(ws) == eta
+    equal eta, both exactly.  Both laws are folds over one integer view of
+    the joint (`JointDist._on_scale`), the mixture run only when the convex
+    combination matches; no marginal is built."""
+    scaled = joint._on_scale(weights)
+    return scaled.convex_combination() == xi and scaled.mixture() == eta

@@ -27,6 +27,7 @@ import decimal
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .certify import LiftResult, MartingaleCoupling, PermutationCertificate
@@ -111,11 +112,20 @@ def dist_from_obj(obj) -> SimpleDist:
 
 
 def joint_to_obj(j: JointDist) -> dict:
+    # A built joint holds each of a few distinct values in thousands of
+    # cells: print each cell object once.  Keying on id() is sound because
+    # `j` keeps every cell alive for the whole call.
+    cells = list(chain.from_iterable(vec for vec, _ in j.atoms))
+    ids = list(map(id, cells))
+    distinct = dict(zip(ids, cells))
+    text = dict(zip(distinct, map(rational_str, distinct.values())))
+    cell_text = list(map(text.__getitem__, ids))
+    m = j.m
     return {
-        "m": j.m,
+        "m": m,
         "atoms": [
-            {"v": [rational_str(x) for x in vec], "p": rational_str(p)}
-            for vec, p in j.atoms
+            {"v": cell_text[start:start + m], "p": rational_str(p)}
+            for start, (_, p) in zip(range(0, len(cells), m), j.atoms)
         ],
     }
 
@@ -198,7 +208,7 @@ def _encode(x, newline: str) -> str:
         if kinds == {str}:
             items = map(encode_basestring_ascii, x)
         elif kinds == {int}:
-            items = map(int.__repr__, x)
+            items = map(repr, x)
         else:
             items = [_encode(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

@@ -15,6 +15,10 @@ transport and dominance used before they became folds over the walkers
 in `divcert.dist` (naive_gap_at_breakpoints through naive_tail_integral),
 and the step-by-step recurrences behind the lift and the SSD split before
 they became closed forms (naive_lift_delta_gamma, naive_decompose_ssd).
+The validator loops of SimpleDist and UniformGrid before they checked on
+integer numerators (naive_validate_dist, naive_validate_grid), and the
+per-cell rendering of a joint law before it printed each cell object once
+(naive_joint_to_obj), are kept the same way.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from divcert import (
     ssd_violation,
 )
 from divcert.matching import lex_min_perfect_matching
+from divcert.serialize import rational_str
 
 
 def es_by_sorted_tail(d: SimpleDist, alpha: Fraction) -> Fraction:
@@ -328,6 +333,51 @@ def naive_mixture(ds, weights) -> SimpleDist:
 def naive_mixture_of_marginals(j: JointDist, weights) -> SimpleDist:
     """The mixture of the m marginal laws, each built on its own."""
     return naive_mixture(j.marginals(), weights)
+
+
+def naive_validate_dist(atoms) -> None:
+    """Raise ValueError unless `atoms` are Fraction pairs with positive
+    probabilities, strictly increasing values and a Fraction sum of 1,
+    checked atom by atom."""
+    if not atoms:
+        raise ValueError("a distribution needs at least one atom")
+    total = Fraction(0)
+    prev = None
+    for value, prob in atoms:
+        if not isinstance(value, Fraction) or not isinstance(prob, Fraction):
+            raise ValueError("atoms must hold Fraction pairs; use from_pairs()")
+        if prob <= 0:
+            raise ValueError("probabilities must be positive")
+        if prev is not None and value <= prev:
+            raise ValueError("values must be strictly increasing")
+        prev = value
+        total += prob
+    if total != 1:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+
+
+def naive_validate_grid(values) -> None:
+    """Raise ValueError unless `values` are non-decreasing by Fraction
+    comparisons, then unless every one of them is a Fraction."""
+    if not values:
+        raise ValueError("a grid needs at least one value")
+    for prev, cur in zip(values, values[1:]):
+        if cur < prev:
+            raise ValueError("grid values must be sorted non-decreasing")
+    for v in values:
+        if not isinstance(v, Fraction):
+            raise ValueError("grid values must be Fractions")
+
+
+def naive_joint_to_obj(j: JointDist) -> dict:
+    """The JSON tree of a joint law, one rational_str per cell."""
+    return {
+        "m": j.m,
+        "atoms": [
+            {"v": [rational_str(x) for x in vec], "p": rational_str(p)}
+            for vec, p in j.atoms
+        ],
+    }
 
 
 def naive_validate_coupling(n, matrix, row_values, col_values) -> None:

@@ -7,6 +7,12 @@ what were step-by-step recurrences.  The references in `oracles`
 (naive_*) are the Fraction loops the library used before; here both run
 on drawn inputs and must give equal results, or fail with the same
 ValueError message.
+
+Both sides of the diversification definition are folds over one integer
+view of a joint law; the joints drawn here hold their cells the two ways
+the library meets them: one shared object per value, as a constructed
+certificate does, and equal values in distinct objects, as a parsed
+bundle does.
 """
 
 from fractions import Fraction as F
@@ -15,19 +21,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divcert.dist
+import divcert.dominance
 import oracles
 from divcert import (
     JointDist,
     MartingaleCoupling,
     PermutationCertificate,
     SimpleDist,
+    UniformGrid,
     convex_combination,
     decompose_ssd,
     dirac,
     lift_delta_gamma,
     mixture,
     simplex_weights,
+    verify_div2_instance,
 )
+from divcert.serialize import joint_from_obj, joint_to_obj
 
 #: value denominators are 2^a 3^b; weight denominators come from the drawn
 #: weight totals, so they are often coprime to them (5, 7, 11, 13, ...)
@@ -41,6 +52,16 @@ def failure(fn):
         fn()
     except ValueError as exc:
         return str(exc)
+    return None
+
+
+def outcome(fn):
+    """The type and message of the exception fn() raises, or None when it
+    returns."""
+    try:
+        fn()
+    except Exception as exc:  # TypeError too: the type is compared
+        return type(exc).__name__, str(exc)
     return None
 
 
@@ -65,9 +86,11 @@ def dists(draw, max_atoms=5):
 @st.composite
 def joints(draw, max_m=4, max_atoms=6):
     """Joint laws whose coordinates come from a small pool, so values repeat
-    within and across vectors; repeated vectors merge."""
+    within and across vectors; repeated vectors merge.  Either every cell
+    of a value is one shared Fraction object, as certify builds a joint, or
+    every cell is an object of its own, as the parsers build one."""
     m = draw(st.integers(1, max_m))
-    pool = draw(st.lists(values, min_size=1, max_size=4))
+    pool = list(dict.fromkeys(draw(st.lists(values, min_size=1, max_size=4))))
     k = draw(st.integers(1, max_atoms))
     vecs = draw(
         st.lists(
@@ -75,8 +98,54 @@ def joints(draw, max_m=4, max_atoms=6):
             min_size=k, max_size=k,
         )
     )
+    if not draw(st.booleans()):
+        vecs = [tuple(F(v.numerator, v.denominator) for v in vec) for vec in vecs]
     ps = draw(simplex(k, allow_zero=False))
     return JointDist.from_pairs(zip(vecs, ps))
+
+
+@st.composite
+def dist_atoms(draw):
+    """Atom tuples for SimpleDist: valid, or broken in any number of ways
+    at once (no atoms, a value or probability that is no Fraction, a
+    probability <= 0, values out of order or repeated, a sum other than 1),
+    each break at an atom of its own choosing."""
+    k = draw(st.integers(0, 5))
+    if not k:
+        return ()
+    vs = sorted(draw(st.lists(values, min_size=k, max_size=k, unique=True)))
+    ps = list(draw(simplex(k, allow_zero=False)))
+    index = st.integers(0, k - 1)
+    breaks = draw(st.sets(st.sampled_from(["type", "sign", "order", "sum"])))
+    if "order" in breaks and k > 1:
+        i, j = draw(index), draw(index)
+        vs[i], vs[j] = (vs[j], vs[i]) if draw(st.booleans()) else (vs[j], vs[j])
+    if "sign" in breaks:
+        i = draw(index)
+        ps[i] = draw(st.sampled_from((F(0), -ps[i])))
+    if "sum" in breaks:
+        ps[draw(index)] += draw(st.sampled_from((F(1, 7), F(-1, 7), F(3))))
+    if "type" in breaks:
+        i = draw(index)
+        if draw(st.booleans()):
+            vs[i] = draw(st.sampled_from((int(vs[i]), float(vs[i]))))
+        else:
+            ps[i] = float(ps[i])
+    return tuple(zip(vs, ps))
+
+
+@st.composite
+def grid_values(draw):
+    """Value tuples for UniformGrid: sorted, or out of order, holding ints,
+    floats or a string among the Fractions, or both at once."""
+    vs = sorted(draw(st.lists(values, min_size=0, max_size=6)))
+    if len(vs) > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(vs) - 1)), draw(st.integers(0, len(vs) - 1))
+        vs[i], vs[j] = vs[j], vs[i]
+    if vs and draw(st.booleans()):
+        i = draw(st.integers(0, len(vs) - 1))
+        vs[i] = draw(st.sampled_from((int(vs[i]), float(vs[i]), str(vs[i]))))
+    return tuple(vs)
 
 
 @st.composite
@@ -220,6 +289,54 @@ class TestSums:
         assert failure(lambda: MartingaleCoupling(*args)) == failure(
             lambda: oracles.naive_validate_coupling(*args)
         )
+
+
+class TestValidators:
+    @given(dist_atoms())
+    def test_simple_dist(self, atoms):
+        assert outcome(lambda: SimpleDist(atoms)) == outcome(
+            lambda: oracles.naive_validate_dist(atoms)
+        )
+
+    @given(grid_values())
+    def test_uniform_grid(self, vs):
+        assert outcome(lambda: UniformGrid(vs)) == outcome(lambda: oracles.naive_validate_grid(vs))
+
+
+class TestIntegerView:
+    @given(joints(), st.data())
+    def test_verify_div2_accepts_exactly_the_two_laws(self, j, data):
+        ws = data.draw(simplex(j.m))
+        law = oracles.naive_convex_combination(j, ws)
+        mix = oracles.naive_mixture_of_marginals(j, ws)
+        assert verify_div2_instance(law, mix, j, ws)
+        other = data.draw(dists())
+        if other != law:
+            assert not verify_div2_instance(other, mix, j, ws)
+        if other != mix:
+            assert not verify_div2_instance(law, other, j, ws)
+
+    def test_verify_div2_validates_the_weights_once(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return simplex_weights(*args, **kwargs)
+
+        j = JointDist.from_pairs([((1, F(1, 3)), F(1, 2)), ((3, F(-5, 3)), F(1, 2))])
+        ws = (F(1, 4), F(3, 4))
+        law = oracles.naive_convex_combination(j, ws)
+        mix = oracles.naive_mixture_of_marginals(j, ws)
+        for module in (divcert.dist, divcert.dominance):
+            monkeypatch.setattr(module, "simplex_weights", spy, raising=False)
+        assert verify_div2_instance(law, mix, j, ws)
+        assert len(calls) == 1
+
+    @given(joints())
+    def test_joint_to_obj(self, j):
+        obj = joint_to_obj(j)
+        assert obj == oracles.naive_joint_to_obj(j)
+        assert joint_from_obj(obj) == j
 
 
 class TestSlackConstructions:
