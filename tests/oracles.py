@@ -18,7 +18,10 @@ they became closed forms (naive_lift_delta_gamma, naive_decompose_ssd).
 The validator loops of SimpleDist and UniformGrid before they checked on
 integer numerators (naive_validate_dist, naive_validate_grid), and the
 per-cell rendering of a joint law before it printed each cell object once
-(naive_joint_to_obj), are kept the same way.
+(naive_joint_to_obj), are kept the same way, as are the JointDist
+validator with its Fraction sum of the probabilities
+(naive_validate_joint) and the string parser that sent every string
+through Fraction's regex (naive_as_rational).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from divcert import (
     regrid,
     ssd_violation,
 )
+from divcert.dist import MAX_DECIMAL_EXPONENT
 from divcert.matching import lex_min_perfect_matching
 from divcert.serialize import rational_str
 
@@ -354,6 +358,60 @@ def naive_validate_dist(atoms) -> None:
         total += prob
     if total != 1:
         raise ValueError(f"probabilities sum to {total}, not 1")
+
+
+def naive_validate_joint(atoms) -> None:
+    """Raise ValueError unless `atoms` are vectors of one length, at least
+    one coordinate, with positive probabilities, sorted distinct vectors
+    and a Fraction sum of 1, checked atom by atom."""
+    if not atoms:
+        raise ValueError("a joint distribution needs at least one atom")
+    m = len(atoms[0][0])
+    if m < 1:
+        raise ValueError("joint distributions need at least one coordinate")
+    total = Fraction(0)
+    prev = None
+    for vec, prob in atoms:
+        if len(vec) != m:
+            raise ValueError("all atom vectors must share the same length")
+        if prob <= 0:
+            raise ValueError("probabilities must be positive")
+        if prev is not None and vec <= prev:
+            raise ValueError("atom vectors must be distinct and sorted")
+        prev = vec
+        total += prob
+    if total != 1:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+
+
+def naive_as_rational(x) -> Fraction:
+    """as_rational with every string parsed by Fraction(str) and its regex."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool):
+        raise TypeError(f"cannot convert bool {x!r} to a rational")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        if "e" in x or "E" in x:
+            _, _, exponent = x.lower().rpartition("e")
+            try:
+                too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+            except ValueError:  # no exponent: Fraction reports the syntax
+                too_large = False
+            if too_large:
+                raise ValueError(
+                    f"decimal exponent of {x!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot represent non-finite value {x!r}")
+        return Fraction(x)
+    raise TypeError(f"cannot convert {type(x).__name__} to a rational")
 
 
 def naive_validate_grid(values) -> None:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import oracles
 from divcert import (
     GridCapError,
     JointDist,
@@ -42,7 +43,45 @@ def dists(draw, max_atoms=6):
     return SimpleDist.from_pairs((v, F(w, total)) for v, w in zip(values, weights))
 
 
+def parsed(fn, x):
+    """(type, value) of fn(x), or (exception type, message) when it raises."""
+    try:
+        r = fn(x)
+    except Exception as exc:  # TypeError too: the type is compared
+        return type(exc), str(exc)
+    return type(r), r
+
+
+#: near-numbers: digits, signs, slashes, decimal points, exponents,
+#: underscores, spaces and digits that are not ASCII; and the canonical
+#: text str(Fraction) writes
+rational_texts = st.one_of(
+    st.text(st.sampled_from("0123456789-/+.eE_ \u00b2\u0661"), max_size=10),
+    st.fractions().map(str),
+)
+
+LONG = "1" * 4301  # one digit past CPython's default int string limit
+
+
 class TestRational:
+    @given(rational_texts)
+    @settings(max_examples=500)
+    def test_strings_parse_as_fraction_parses_them(self, text):
+        assert parsed(as_rational, text) == parsed(oracles.naive_as_rational, text)
+
+    @pytest.mark.parametrize("text", [
+        "-0", "007", "6/4", "0/5", "3/00", "-0/0", "1/-2", "+3", " 3", "3_0",
+        "-", "/3", "3/", "", "--3", "+-3", "-+3", "3 /4", " -3/4 ", "1/2/3",
+        "-6/-4", "\u00b2", "\u0661\u0662",
+    ])
+    def test_edge_strings_parse_as_fraction_parses_them(self, text):
+        assert parsed(as_rational, text) == parsed(oracles.naive_as_rational, text)
+
+    def test_too_many_digits_fail_as_fraction_fails(self):
+        for text in (LONG, "-" + LONG, LONG + "/3", "3/" + LONG, LONG + "/0"):
+            assert parsed(as_rational, text) == parsed(oracles.naive_as_rational, text)
+            assert parsed(as_rational, text)[0] is ValueError
+
     def test_string_forms(self):
         assert as_rational("3/4") == F(3, 4)
         assert as_rational("0.1") == F(1, 10)  # decimal strings are exact decimals

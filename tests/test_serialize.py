@@ -1,5 +1,6 @@
 """Wire formats: exactness and byte-stable round trips."""
 
+import fractions
 import itertools
 import json
 import random
@@ -93,6 +94,23 @@ class TestCertificateJson:
     def test_malformed(self):
         with pytest.raises(ValueError):
             certificate_from_obj({"terms": []})
+
+    def test_bundles_parse_without_the_fraction_regex(self, monkeypatch):
+        """Every number divcert writes is canonical str(Fraction) text, and
+        as_rational reads that with int(): the regex behind Fraction(str)
+        is never reached while a bundle is parsed."""
+
+        class NoRegex:
+            def match(self, text):
+                raise AssertionError(f"Fraction(str) parsed {text!r}")
+
+        xi, eta = helpers.spread_pair(random.Random(5), 4, 2)
+        obj = _wire(xi, eta)
+        cert, joint, coupling = certify_bundle(xi, eta)
+        monkeypatch.setattr(fractions, "_RATIONAL_FORMAT", NoRegex())
+        assert certificate_from_obj(obj["certificate"]) == cert
+        assert joint_from_obj(obj["joint"]) == joint
+        assert coupling_from_obj(obj["coupling"]) == coupling
 
     @pytest.mark.parametrize("parse, obj", list(MALFORMED_BUNDLE_PARTS.values()),
                              ids=list(MALFORMED_BUNDLE_PARTS))
