@@ -76,12 +76,14 @@ def as_rational(x) -> Fraction:
     magnitude) and finite floats (converted from their exact binary value,
     not re-parsed through decimal text).  Booleans are not numbers here.
 
-    The accepted strings are exactly those of ``Fraction(str)``, and so are
-    their values and errors.  The canonical "p/q" or integer text that
-    ``str(Fraction)`` writes (ASCII digits, an optional leading "-", an
-    optional "/" and a denominator that is not zero) is read with int(),
-    without Fraction's regex; every other string goes through
-    ``Fraction(str)``.
+    A string is read in one of two ways, with the same result.  The
+    canonical "p/q" or integer text that ``str(Fraction)`` writes (ASCII
+    digits, an optional leading "-", an optional "/" and a denominator that
+    is not zero) is read with int(), without Fraction's regex.  Every other
+    string is checked against the exponent bound and then parsed by
+    ``Fraction(str)``, with a zero denominator reported as a ValueError.
+    The accepted forms, their values and the error for each rejected
+    string are those of this second way alone.
     """
     if isinstance(x, Fraction):
         return x
@@ -409,8 +411,6 @@ class JointDist:
         m = len(self.atoms[0][0])
         if m < 1:
             raise ValueError("joint distributions need at least one coordinate")
-        probs = [p for _, p in self.atoms]
-        all_fractions = all(map(isinstance, probs, repeat(Fraction)))
         total = Fraction(0)
         prev = None
         for vec, prob in self.atoms:
@@ -421,11 +421,7 @@ class JointDist:
             if prev is not None and vec <= prev:
                 raise ValueError("atom vectors must be distinct and sorted")
             prev = vec
-            if not all_fractions:  # a float, say: added as it comes, may raise here
-                total += prob
-        if all_fractions:
-            nums, den = common_scale(probs)
-            total = Fraction(sum(nums), den)
+            total += prob
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
 

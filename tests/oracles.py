@@ -18,10 +18,8 @@ they became closed forms (naive_lift_delta_gamma, naive_decompose_ssd).
 The validator loops of SimpleDist and UniformGrid before they checked on
 integer numerators (naive_validate_dist, naive_validate_grid), and the
 per-cell rendering of a joint law before it printed each cell object once
-(naive_joint_to_obj), are kept the same way, as are the JointDist
-validator with its Fraction sum of the probabilities
-(naive_validate_joint) and the string parser that sent every string
-through Fraction's regex (naive_as_rational).
+(naive_joint_to_obj), are kept the same way, as is the string parser
+that sent every string through Fraction's regex (naive_as_rational).
 """
 
 from __future__ import annotations
@@ -355,30 +353,6 @@ def naive_validate_dist(atoms) -> None:
         if prev is not None and value <= prev:
             raise ValueError("values must be strictly increasing")
         prev = value
-        total += prob
-    if total != 1:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-
-
-def naive_validate_joint(atoms) -> None:
-    """Raise ValueError unless `atoms` are vectors of one length, at least
-    one coordinate, with positive probabilities, sorted distinct vectors
-    and a Fraction sum of 1, checked atom by atom."""
-    if not atoms:
-        raise ValueError("a joint distribution needs at least one atom")
-    m = len(atoms[0][0])
-    if m < 1:
-        raise ValueError("joint distributions need at least one coordinate")
-    total = Fraction(0)
-    prev = None
-    for vec, prob in atoms:
-        if len(vec) != m:
-            raise ValueError("all atom vectors must share the same length")
-        if prob <= 0:
-            raise ValueError("probabilities must be positive")
-        if prev is not None and vec <= prev:
-            raise ValueError("atom vectors must be distinct and sorted")
-        prev = vec
         total += prob
     if total != 1:
         raise ValueError(f"probabilities sum to {total}, not 1")

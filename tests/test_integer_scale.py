@@ -15,8 +15,6 @@ certificate does, and equal values in distinct objects, as a parsed
 bundle does.
 """
 
-import math
-from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -134,43 +132,6 @@ def dist_atoms(draw):
         else:
             ps[i] = float(ps[i])
     return tuple(zip(vs, ps))
-
-
-@st.composite
-def joint_atoms(draw):
-    """Atom tuples for JointDist: valid, or broken in any number of ways at
-    once (no atoms, no coordinates, vectors of two lengths, a probability
-    <= 0, vectors out of order or repeated, a sum other than 1), each break
-    at an atom of its own choosing; a probability is now and then an int, a
-    float or a Decimal, which JointDist adds as it comes (a Decimal raises
-    there)."""
-    k = draw(st.integers(0, 5))
-    if not k:
-        return ()
-    m = draw(st.integers(1, 3))
-    vecs = sorted(set(draw(st.lists(
-        st.lists(values, min_size=m, max_size=m).map(tuple), min_size=k, max_size=k
-    ))))
-    k = len(vecs)
-    ps = list(draw(simplex(k, allow_zero=False)))
-    index = st.integers(0, k - 1)
-    breaks = draw(st.sets(st.sampled_from(["coords", "length", "sign", "order", "type"])))
-    if "coords" in breaks:
-        vecs = [()] * k
-    if "order" in breaks and k > 1:
-        i, j = draw(index), draw(index)
-        vecs[i], vecs[j] = (vecs[j], vecs[i]) if draw(st.booleans()) else (vecs[j], vecs[j])
-    if "length" in breaks:
-        i = draw(index)
-        vecs[i] = vecs[i] + (F(0),) if draw(st.booleans()) else vecs[i][:-1]
-    if "sign" in breaks:
-        i = draw(index)
-        ps[i] = draw(st.sampled_from((F(0), -ps[i])))
-    ps[draw(index)] += draw(st.sampled_from((F(0), F(1, 7), F(-1, 7), F(1, 2), F(3))))
-    if "type" in breaks:
-        i = draw(index)
-        ps[i] = draw(st.sampled_from((float(ps[i]), math.ceil(ps[i]), Decimal(ps[i].numerator))))
-    return tuple(zip(vecs, ps))
 
 
 @st.composite
@@ -335,13 +296,6 @@ class TestValidators:
     def test_simple_dist(self, atoms):
         assert outcome(lambda: SimpleDist(atoms)) == outcome(
             lambda: oracles.naive_validate_dist(atoms)
-        )
-
-    @given(joint_atoms())
-    @settings(max_examples=300)
-    def test_joint_dist(self, atoms):
-        assert outcome(lambda: JointDist(atoms)) == outcome(
-            lambda: oracles.naive_validate_joint(atoms)
         )
 
     @given(grid_values())
