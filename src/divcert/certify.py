@@ -36,7 +36,10 @@ matching of the positive-entry graph.  That graph splits into blocks,
 its connected components (rows and columns linked by positive cells);
 a perfect matching picks one independently in each block, so the
 lex-min matching is the union of the blocks' own lex-min matchings, and
-a peel round re-matches only the blocks whose support it changed.
+a peel round re-matches only the blocks whose support it changed.  The
+chain runs on integer numerators in one forward pass: no transfer gives
+a slot a surplus, so the pointer to the smallest surplus slot never
+moves back.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from itertools import accumulate, groupby
 from operator import add, mul, sub
 
 from .dist import (
-    DEFAULT_GRID_CAP,
+    GridCapError,
     JointDist,
     SimpleDist,
     UniformGrid,
@@ -61,12 +64,21 @@ from .dominance import check_majorization
 from .matching import lex_min_perfect_matching
 from .risk import ssd_violation
 
-#: Default slot cap of certify_div1, mps_coupling and certify_bundle.  The
+#: Slot cap of certify_div1, mps_coupling and certify_bundle.  The
 #: transfer rows and the coupling are dense n x n structures: certifying
 #: xi = eta on n distinct values took 3.0 s and 233 MB at n = 1024 (2-core
 #: x86-64, CPython 3.11) and grew about 4.6-fold per doubling of n.  A
 #: larger pair fails with GridCapError before anything n x n is allocated.
 CERTIFY_SLOT_CAP = 1024
+
+#: Bound on the bits of any row denominator of the transfer product.  The
+#: slot cap alone does not bound the work, which follows the size of the
+#: common denominator L and the nonzero cells of D: one n = 1024 pair
+#: spent 254 s in the product (L of 65,251 bits) and its peel did not
+#: finish.  That pair crosses this bound at its 65th transfer and fails
+#: with GridCapError at once; the largest L the test suite builds has
+#: 588 bits.
+CERTIFY_DENOMINATOR_BITS = 4096
 
 
 class CertificationError(ValueError):
@@ -248,28 +260,30 @@ def t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     the deficit), the smallest j > i holding a surplus, and moves
     t = min(deficit, surplus) between them; every step settles at least
     one index for good.
+
+    It runs on the integer numerators of a and b over one common
+    denominator, in one forward pass: a step lowers c[j] to no less than
+    a[j] and raises c[i] to no more than a[i], so no index ever gains a
+    surplus and the surplus pointer j never moves back.
     """
     maj = check_majorization(a, b)
     if not maj:
         raise MajorizationError(maj.witness)
     n = a.n
-    c = list(b.values)
-    target = a.values
+    nums, _ = common_scale(a.values + b.values)
+    target, c = nums[:n], nums[n:]
     transforms = []
-    i = 0
-    for _ in range(n):
-        while i < n and c[i] == target[i]:
-            i += 1
-        if i == n:
-            break
-        j = i + 1
-        while c[j] <= target[j]:
-            j += 1
-        t = min(target[i] - c[i], c[j] - target[j])
-        transforms.append(TTransform(i, j, t / (c[j] - c[i])))
-        c[i] += t
-        c[j] -= t
-    else:
+    j = 0
+    for i in range(n):
+        while c[i] != target[i]:
+            j = max(j, i + 1)
+            while c[j] <= target[j]:
+                j += 1
+            t = min(target[i] - c[i], c[j] - target[j])
+            transforms.append(TTransform(i, j, Fraction(t, c[j] - c[i])))
+            c[i] += t
+            c[j] -= t
+    if c != target:
         raise AssertionError("transfer loop failed to settle all indices")
     return tuple(transforms)
 
@@ -280,18 +294,27 @@ def _scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[list[list[int
     Rows carry individual denominators while the chain is applied (each
     transfer touches two rows only) and are brought to the common
     denominator L at the end.  Integer arithmetic keeps the peeling hot
-    path free of per-operation gcd normalization.
+    path free of per-operation gcd normalization.  A row denominator
+    above CERTIFY_DENOMINATOR_BITS bits raises GridCapError before the
+    transfer that would make it is applied.
     """
     n = a.n
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 1
     denoms = [1] * n
-    for tr in t_transform_chain(a, b):
+    chain = t_transform_chain(a, b)
+    for step, tr in enumerate(chain, start=1):
         p = tr.s.numerator
         q = tr.s.denominator
         li, lj = denoms[tr.i], denoms[tr.j]
         lcm_ij = li // math.gcd(li, lj) * lj
+        den = q * lcm_ij
+        if den.bit_length() > CERTIFY_DENOMINATOR_BITS:
+            raise GridCapError(
+                f"transfer {step} of {len(chain)} needs a row denominator above "
+                f"CERTIFY_DENOMINATOR_BITS = {CERTIFY_DENOMINATOR_BITS} bits"
+            )
         ci = lcm_ij // li
         cj = lcm_ij // lj
         qp = q - p
@@ -301,7 +324,7 @@ def _scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[list[list[int
             y = rj[k] * cj
             ri[k] = qp * x + p * y
             rj[k] = p * x + qp * y
-        denoms[tr.i] = denoms[tr.j] = q * lcm_ij
+        denoms[tr.i] = denoms[tr.j] = den
     L = math.lcm(*denoms)
     for i in range(n):
         m = L // denoms[i]
@@ -420,7 +443,7 @@ def _peel_scaled(
 
 
 def _transfer_product(
-    xi: SimpleDist, eta: SimpleDist, cap: int
+    xi: SimpleDist, eta: SimpleDist
 ) -> tuple[UniformGrid, UniformGrid, list[list[int]], int]:
     """The one construction behind the certificate and the coupling.
 
@@ -435,7 +458,7 @@ def _transfer_product(
     alpha = ssd_violation(xi, eta)
     if alpha is not None:
         raise SsdViolatedError(alpha)
-    a, b = common_refinement(xi, eta, cap)
+    a, b = common_refinement(xi, eta, CERTIFY_SLOT_CAP)
     rows, L = _scaled_transfer_rows(a, b)
     return a, b, rows, L
 
@@ -477,22 +500,22 @@ def _certificate(
 
 
 def certify_bundle(
-    xi: SimpleDist, eta: SimpleDist, cap: int = CERTIFY_SLOT_CAP
+    xi: SimpleDist, eta: SimpleDist
 ) -> tuple[PermutationCertificate, JointDist, MartingaleCoupling]:
     """The certificate, its joint law and the martingale coupling at once.
 
-    Equal to ``(*certify_div1(xi, eta, cap), mps_coupling(xi, eta, cap))``
+    Equal to ``(*certify_div1(xi, eta), mps_coupling(xi, eta))``
     but runs the checks and the transfer product once: the coupling is
     D/n and the certificate is the Birkhoff peel of the same D.
     """
-    a, b, rows, L = _transfer_product(xi, eta, cap)
+    a, b, rows, L = _transfer_product(xi, eta)
     coupling = _coupling(a, b, rows, L)  # before the peel consumes rows
     cert, joint = _certificate(a, b, rows, L)
     return cert, joint, coupling
 
 
 def certify_div1(
-    xi: SimpleDist, eta: SimpleDist, cap: int = CERTIFY_SLOT_CAP
+    xi: SimpleDist, eta: SimpleDist
 ) -> tuple[PermutationCertificate, JointDist]:
     """Permutation-weight certificate that xi diversification-dominates eta.
 
@@ -503,21 +526,17 @@ def certify_div1(
     copy of eta (slot i carries the vector of b[perm_k[i]] with
     probability 1/n).  The certificate reconstructs xi exactly.
     """
-    return _certificate(*_transfer_product(xi, eta, cap))
+    return _certificate(*_transfer_product(xi, eta))
 
 
-def mps_coupling(
-    xi: SimpleDist, eta: SimpleDist, cap: int = CERTIFY_SLOT_CAP
-) -> MartingaleCoupling:
+def mps_coupling(xi: SimpleDist, eta: SimpleDist) -> MartingaleCoupling:
     """Joint law of (xi, eta) on the common refinement under which eta is
     xi plus conditionally-mean-zero noise: C = D/n, whose rows average
     back to xi's grid values exactly."""
-    return _coupling(*_transfer_product(xi, eta, cap))
+    return _coupling(*_transfer_product(xi, eta))
 
 
-def lift_delta_gamma(
-    xi: SimpleDist, eta: SimpleDist, cap: int = DEFAULT_GRID_CAP
-) -> LiftResult:
+def lift_delta_gamma(xi: SimpleDist, eta: SimpleDist) -> LiftResult:
     """Lift an arbitrary pair to one where certification applies.
 
     On the common refinement (x, y sorted) let S_k = sum_{i<=k} (y_i - x_i).
@@ -528,7 +547,7 @@ def lift_delta_gamma(
     lifted grids share one mean, and the mean of delta, M_n / n, equals the
     dominance gap exactly.  All of it runs on one integer scale.
     """
-    gx, gy = common_refinement(xi, eta, cap)
+    gx, gy = common_refinement(xi, eta)
     n = gx.n
     nums, den = common_scale(gx.values + gy.values)
     xnums, ynums = nums[:n], nums[n:]

@@ -49,8 +49,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 #: Default slot cap of expand_to_uniform_grid and common_refinement, and so
 #: of `divcert check majorization` and lift_delta_gamma, whose work is linear
 #: in the slots: the lcm of the probability denominators is what blows up.
-#: The certificate constructions hold n x n integers and default to the far
-#: lower certify.CERTIFY_SLOT_CAP.
+#: The certificate constructions hold n x n integers and use the far lower
+#: certify.CERTIFY_SLOT_CAP.
 DEFAULT_GRID_CAP = 10**6
 
 #: as_rational refuses decimal strings whose exponent exceeds this in
@@ -65,7 +65,8 @@ _denominator = attrgetter("denominator")
 
 
 class GridCapError(ValueError):
-    """Raised when a uniform-grid refinement would exceed the atom cap."""
+    """Raised when a uniform-grid refinement would exceed the atom cap, or
+    a certificate's transfer product its denominator bound."""
 
 
 def as_rational(x) -> Fraction:
@@ -85,8 +86,6 @@ def as_rational(x) -> Fraction:
     The accepted forms, their values and the error for each rejected
     string are those of this second way alone.
     """
-    if isinstance(x, Fraction):
-        return x
     if type(x) is str and x.isascii():
         num, slash, den = x.partition("/")
         if (num[1:] if num[:1] == "-" else num).isdigit():
@@ -94,6 +93,8 @@ def as_rational(x) -> Fraction:
                 return Fraction(int(num))
             if den.isdigit() and den.strip("0"):
                 return Fraction(int(num), int(den))
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, bool):
         raise TypeError(f"cannot convert bool {x!r} to a rational")
     if isinstance(x, int):

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
 from .dist import (
@@ -26,6 +28,7 @@ from .dist import (
     SimpleDist,
     UniformGrid,
     cdf_steps,
+    common_scale,
     regrid,
 )
 from .risk import ssd_violation
@@ -78,18 +81,17 @@ class MajorizationCheck:
 
 def check_majorization(a: UniformGrid, b: UniformGrid) -> MajorizationCheck:
     """True iff the grids have equal totals and every ascending prefix sum
-    of `a` is at least that of `b`."""
+    of `a` is at least that of `b`: one running sum of b - a over the
+    integer numerators of both grids on one common denominator."""
     if a.n != b.n:
         raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
-    prefix_a = Fraction(0)
-    prefix_b = Fraction(0)
-    for j, (va, vb) in enumerate(zip(a.values, b.values), start=1):
-        prefix_a += va
-        prefix_b += vb
-        if prefix_a < prefix_b:
+    n = a.n
+    nums, _ = common_scale(a.values + b.values)
+    for j, excess in enumerate(accumulate(map(sub, nums[n:], nums[:n])), start=1):
+        if excess > 0:
             return MajorizationCheck(False, j)
-    if prefix_a != prefix_b:
-        return MajorizationCheck(False, a.n)
+    if excess:
+        return MajorizationCheck(False, n)
     return MajorizationCheck(True)
 
 

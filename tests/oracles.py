@@ -20,6 +20,9 @@ integer numerators (naive_validate_dist, naive_validate_grid), and the
 per-cell rendering of a joint law before it printed each cell object once
 (naive_joint_to_obj), are kept the same way, as is the string parser
 that sent every string through Fraction's regex (naive_as_rational).
+So are the transfer chain that rescanned for a surplus from i + 1 on
+Fractions at every step (naive_t_transform_chain) and the majorization
+test that kept two Fraction prefix sums (naive_check_majorization).
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ from divcert import (
     DecompositionResult,
     JointDist,
     LiftResult,
+    MajorizationCheck,
+    MajorizationError,
     SimpleDist,
     SsdViolatedError,
+    TTransform,
     UniformGrid,
     common_refinement,
     expand_to_uniform_grid,
@@ -386,6 +392,51 @@ def naive_as_rational(x) -> Fraction:
             raise ValueError(f"cannot represent non-finite value {x!r}")
         return Fraction(x)
     raise TypeError(f"cannot convert {type(x).__name__} to a rational")
+
+
+def naive_check_majorization(a: UniformGrid, b: UniformGrid) -> MajorizationCheck:
+    """check_majorization with the two ascending prefix sums kept as
+    Fractions, one addition per slot."""
+    if a.n != b.n:
+        raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
+    prefix_a = Fraction(0)
+    prefix_b = Fraction(0)
+    for j, (va, vb) in enumerate(zip(a.values, b.values), start=1):
+        prefix_a += va
+        prefix_b += vb
+        if prefix_a < prefix_b:
+            return MajorizationCheck(False, j)
+    if prefix_a != prefix_b:
+        return MajorizationCheck(False, a.n)
+    return MajorizationCheck(True)
+
+
+def naive_t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
+    """t_transform_chain on Fractions, rescanning for the smallest surplus
+    index from i + 1 at every step."""
+    maj = naive_check_majorization(a, b)
+    if not maj:
+        raise MajorizationError(maj.witness)
+    n = a.n
+    c = list(b.values)
+    target = a.values
+    transforms = []
+    i = 0
+    for _ in range(n):
+        while i < n and c[i] == target[i]:
+            i += 1
+        if i == n:
+            break
+        j = i + 1
+        while c[j] <= target[j]:
+            j += 1
+        t = min(target[i] - c[i], c[j] - target[j])
+        transforms.append(TTransform(i, j, t / (c[j] - c[i])))
+        c[i] += t
+        c[j] -= t
+    else:
+        raise AssertionError("transfer loop failed to settle all indices")
+    return tuple(transforms)
 
 
 def naive_validate_grid(values) -> None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction as F
 from operator import sub
 
@@ -109,6 +110,18 @@ class TestTransforms:
             for tr in chain:
                 tr.apply(worked)
             assert worked == list(a.values)
+
+    def test_chain_is_linear_at_scale(self):
+        a, b = common_refinement(*helpers.spread_pair(random.Random(3), 8, 10))
+        assert a.n == 8192
+        start = time.perf_counter()
+        chain = t_transform_chain(a, b)
+        assert time.perf_counter() - start < 2.0
+        assert len(chain) <= a.n - 1
+        worked = list(b.values)
+        for tr in chain:
+            tr.apply(worked)
+        assert worked == list(a.values)
 
     def test_rejects_non_majorized(self):
         with pytest.raises(MajorizationError) as exc:

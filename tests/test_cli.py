@@ -6,6 +6,7 @@ import io
 import json
 import random
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ import helpers
 from divcert import (
     SimpleDist,
     common_refinement,
+    decompose_ssd,
     dirac,
     verify_div1_certificate,
     verify_div2_instance,
@@ -312,6 +314,29 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "1031" in err
         assert f"cap of {certify.CERTIFY_SLOT_CAP}" in err
+
+    def test_certify_denominator_bound(self, files, capsys, monkeypatch):
+        # n = 1024 passes the slot cap, yet its transfer product ran 254 s
+        # (L of 65,251 bits) and its peel did not finish
+        eta = demo.gamma_mean_quantile_dist(1, 1024)
+        zeta = decompose_ssd(demo.gamma_mean_quantile_dist(2, 1024), eta).zeta
+        paths = []
+        for name, d in (("zeta.json", zeta), ("eta.json", eta)):
+            path = files["tmp"] / name
+            path.write_text(dumps(dist_to_obj(d)))
+            paths.append(str(path))
+
+        def no_peel(rows, L):
+            raise AssertionError("the bound must refuse the pair before the peel")
+
+        monkeypatch.setattr(certify, "_peel_scaled", no_peel)
+        for command in ("certify", "mps"):
+            start = time.perf_counter()
+            assert main([command, *paths]) == 2
+            assert time.perf_counter() - start < 2.0
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"CERTIFY_DENOMINATOR_BITS = {certify.CERTIFY_DENOMINATOR_BITS} bits" in err
 
     def test_json_booleans_are_not_numbers(self, files, capsys):
         for atom in ({"v": True, "p": "1"}, {"v": "1", "p": True}):

@@ -13,6 +13,10 @@ view of a joint law; the joints drawn here hold their cells the two ways
 the library meets them: one shared object per value, as a constructed
 certificate does, and equal values in distinct objects, as a parsed
 bundle does.
+
+The transfer chain and the majorization test run on integer numerators
+too, the chain in one forward pass; on drawn grids they must return the
+transfers, the violation witness and the check of the Fraction loops.
 """
 
 from fractions import Fraction as F
@@ -26,16 +30,19 @@ import divcert.dominance
 import oracles
 from divcert import (
     JointDist,
+    MajorizationError,
     MartingaleCoupling,
     PermutationCertificate,
     SimpleDist,
     UniformGrid,
+    check_majorization,
     convex_combination,
     decompose_ssd,
     dirac,
     lift_delta_gamma,
     mixture,
     simplex_weights,
+    t_transform_chain,
     verify_div2_instance,
 )
 from divcert.serialize import joint_from_obj, joint_to_obj
@@ -237,6 +244,34 @@ def slack_pairs(draw):
     return xi, eta
 
 
+@st.composite
+def grid_pairs(draw, max_n=16):
+    """(a, b) sorted grids of 1..max_n slots with values k/d, |k| <= 4 and
+    d <= 3, so values repeat.  Half the time a comes from b by a few
+    random transfers, so b majorizes it; otherwise a is drawn freely."""
+    n = draw(st.integers(1, max_n))
+    small = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    b = sorted(draw(st.lists(small, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        a = list(b)
+        for _ in range(draw(st.integers(1, 4)) if n > 1 else 0):
+            i = draw(st.integers(0, n - 2))
+            j = draw(st.integers(i + 1, n - 1))
+            s = draw(st.builds(F, st.integers(1, 4), st.just(4)))
+            a[i], a[j] = a[i] + s * (a[j] - a[i]), a[j] + s * (a[i] - a[j])
+    else:
+        a = draw(st.lists(small, min_size=n, max_size=n))
+    return UniformGrid(tuple(sorted(a))), UniformGrid(tuple(b))
+
+
+def chain_outcome(fn, a, b):
+    """The transfers fn(a, b) returns, or the witness of its MajorizationError."""
+    try:
+        return fn(a, b)
+    except MajorizationError as exc:
+        return exc.witness
+
+
 class TestSums:
     @given(st.lists(values, min_size=0, max_size=5), st.booleans())
     def test_simplex_weights(self, raw, normalize):
@@ -352,6 +387,17 @@ class TestSlackConstructions:
         assert failure(lambda: decompose_ssd(*pair)) == expected
         if expected is None:
             assert decompose_ssd(*pair) == oracles.naive_decompose_ssd(*pair)
+
+
+class TestTransferChain:
+    @given(grid_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_chain_and_majorization(self, pair):
+        a, b = pair
+        assert check_majorization(a, b) == oracles.naive_check_majorization(a, b)
+        assert chain_outcome(t_transform_chain, a, b) == chain_outcome(
+            oracles.naive_t_transform_chain, a, b
+        )
 
 
 class TestEdges:
