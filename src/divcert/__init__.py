@@ -12,11 +12,8 @@ from .certify import (
     DecompositionResult,
     LiftResult,
     MajorizationError,
-    MartingaleCoupling,
     MeansDifferError,
-    PermutationCertificate,
     SsdViolatedError,
-    TTransform,
     certify_bundle,
     certify_div1,
     decompose_ssd,
@@ -43,6 +40,9 @@ from .dist import (
 )
 from .dominance import (
     MajorizationCheck,
+    MartingaleCoupling,
+    PermutationCertificate,
+    TTransform,
     check_fsd,
     check_majorization,
     check_ssd,

@@ -19,15 +19,9 @@ The certificate and the coupling are two views of one D, and D exists
 only in that integer form: a single private step runs the checks and
 the transfer product (numerators over one common denominator L), the
 coupling reads D/n straight off those integers and the peel then
-consumes them.  `certify_bundle` returns all three artifacts from that
-one product; `certify_div1` and `mps_coupling` are thin wrappers over
-the same steps.
-
-The coupling's validator, the certificate's weight check and
-`PermutationCertificate.combine` follow the same idiom: each vector of
-Fractions is brought to one common denominator, sums and comparisons run
-on the integer numerators, and Fractions are made only for a result or
-an error message.
+consumes them (`certify_bundle` returns both from one product).  The
+witness types and the rules that make them valid are defined in
+`divcert.dominance`; this module only builds them.
 
 All constructions are deterministic: the transfer chain always picks the
 smallest deficient index and the smallest surplus index after it, and
@@ -49,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
-from operator import add, mul, sub
+from operator import add, sub
 
 from .dist import (
     GridCapError,
@@ -60,7 +54,12 @@ from .dist import (
     common_refinement,
     common_scale,
 )
-from .dominance import check_majorization
+from .dominance import (
+    MartingaleCoupling,
+    PermutationCertificate,
+    TTransform,
+    check_majorization,
+)
 from .matching import lex_min_perfect_matching
 from .risk import ssd_violation
 
@@ -102,116 +101,6 @@ class MajorizationError(CertificationError):
     def __init__(self, witness: int):
         super().__init__(f"prefix-sum dominance violated at index {witness}")
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class TTransform:
-    """Doubly stochastic transfer (1-s)*I + s*Q_ij mixing coordinates i<j."""
-
-    i: int
-    j: int
-    s: Fraction
-
-    def __post_init__(self):
-        if not 0 <= self.i < self.j:
-            raise ValueError("need 0 <= i < j")
-        if not 0 < self.s <= 1:
-            raise ValueError("mixing share must lie in (0, 1]")
-
-    def apply(self, vec: list[Fraction]) -> None:
-        """Replace entries i and j by their s-mix, in place."""
-        vi, vj = vec[self.i], vec[self.j]
-        vec[self.i] = vi + self.s * (vj - vi)
-        vec[self.j] = vj + self.s * (vi - vj)
-
-
-@dataclass(frozen=True)
-class PermutationCertificate:
-    """Convex combination of permutations witnessing a = sum_k w_k * (b o perm_k).
-
-    `terms` holds (perm, weight) pairs; perm maps slot index to source
-    index in the dominated grid (0-based).  Weights are positive and sum
-    to exactly 1, and the term count never exceeds (n-1)^2 + 1.
-    """
-
-    n: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("grid size must be positive")
-        if not self.terms:
-            raise ValueError("a certificate needs at least one term")
-        if len(self.terms) > (self.n - 1) ** 2 + 1:
-            raise ValueError(
-                f"{len(self.terms)} terms exceed the bound {(self.n - 1) ** 2 + 1}"
-            )
-        full = frozenset(range(self.n))
-        nums, den = common_scale(self.weights)
-        for (perm, _), num in zip(self.terms, nums):
-            if len(perm) != self.n or frozenset(perm) != full:
-                raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")
-            if num <= 0:
-                raise ValueError("term weights must be positive")
-        total = sum(nums)
-        if total != den:
-            raise ValueError(f"term weights sum to {Fraction(total, den)}, not 1")
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(w for _, w in self.terms)
-
-    def combine(self, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        """Slot-wise weighted combination sum_k w_k * values[perm_k[i]]."""
-        if len(values) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(values)}")
-        wnums, wden = common_scale(self.weights)
-        vnums, vden = common_scale(values)
-        acc = [0] * self.n
-        for (perm, _), wn in zip(self.terms, wnums):
-            acc = [a + wn * vnums[src] for a, src in zip(acc, perm)]
-        scale = wden * vden
-        return tuple(Fraction(a, scale) for a in acc)
-
-
-@dataclass(frozen=True)
-class MartingaleCoupling:
-    """Joint law on grid slots with uniform marginals and the martingale
-    property: conditionally on each row slot, the column values average
-    back to the row value exactly."""
-
-    n: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-    row_values: tuple[Fraction, ...]
-    col_values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise ValueError("grid size must be positive")
-        if len(self.matrix) != n or len(self.row_values) != n or len(self.col_values) != n:
-            raise ValueError("matrix and value grids must all have size n")
-        # cell c = cnum/den and column value v = vnum/vden: a row sums to
-        # 1/n iff n * sum(cnum) == den, and it averages back to its row
-        # value r iff n * sum(cnum * vnum) == r * den * vden
-        den = math.lcm(*{c.denominator for row in self.matrix for c in row})
-        vnums, vden = common_scale(self.col_values)
-        col_sums = [0] * n
-        for i, row in enumerate(self.matrix):
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            nums = [c.numerator * (den // c.denominator) for c in row]
-            if min(nums) < 0:
-                raise ValueError("entries must be non-negative")
-            row_sum = sum(nums)
-            if row_sum * n != den:
-                raise ValueError(f"row {i} sums to {Fraction(row_sum, den)}, not 1/{n}")
-            r = self.row_values[i]
-            if n * sum(map(mul, nums, vnums)) * r.denominator != r.numerator * den * vden:
-                raise ValueError(f"martingale property fails on row {i}")
-            col_sums = list(map(add, col_sums, nums))
-        if any(c * n != den for c in col_sums):
-            raise ValueError(f"column sums must all be 1/{n}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from .certify import (
     lift_delta_gamma,
     mps_coupling,
 )
-from .dist import GridCapError, as_rational, common_refinement, mixture, quantize_values
+from .dist import as_rational, common_refinement, mixture, quantize_values
 from .dominance import (
     check_majorization,
     fsd_violation,
@@ -208,56 +207,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation", choices=["fsd", "ssd", "majorization"])
     p.add_argument("input_a")
     p.add_argument("input_b")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("es", help="Expected Shortfall at a level")
     p.add_argument("input")
     p.add_argument("--alpha", required=True, help="level in (0,1], e.g. 1/20 or 0.05")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_es)
 
     p = sub.add_parser("kantorovich", help="transport distance between two distributions")
     p.add_argument("input_a")
     p.add_argument("input_b")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_kantorovich)
 
     p = sub.add_parser("certify", help="build a diversification certificate")
     p.add_argument("input_xi")
     p.add_argument("input_eta")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("mps", help="martingale coupling witnessing a mean-preserving spread")
     p.add_argument("input_xi")
     p.add_argument("input_eta")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_mps)
 
     p = sub.add_parser("lift", help="lift an arbitrary pair to a certified one")
     p.add_argument("input_xi")
     p.add_argument("input_eta")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("decompose", help="split second-order dominance into "
                        "a first-order step and an equal-means step")
     p.add_argument("input_xi")
     p.add_argument("input_eta")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("mix", help="probabilistic mixture of distributions")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--weights", required=True, help="comma-separated rationals summing to 1")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("quantize", help="round values to a 1/q lattice")
     p.add_argument("input")
     p.add_argument("--denominator", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("demo-lln", help="law-of-large-numbers contraction table (CSV)")
@@ -266,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--seed", type=int, default=None,
                    help="switch to seeded sampling instead of the deterministic grid")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_demo_lln)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
@@ -277,7 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError, GridCapError) as exc:
+    except (OSError, ValueError) as exc:  # a JSON or grid-cap error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

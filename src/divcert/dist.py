@@ -385,14 +385,12 @@ def mixture(ds: Sequence[SimpleDist], weights: Sequence) -> SimpleDist:
     ws = simplex_weights(weights, len(ds))
     live = [(d, w) for d, w in zip(ds, ws) if w]
     wnums, wden = common_scale([w for _, w in live])
-    atoms = [atom for d, _ in live for atom in d.atoms]
-    vden = math.lcm(*{v.denominator for v, _ in atoms})
-    pden = math.lcm(*{p.denominator for _, p in atoms})
+    atoms = [(atom, wn) for (d, _), wn in zip(live, wnums) for atom in d.atoms]
+    vnums, vden = common_scale([v for (v, _), _ in atoms])
+    pnums, pden = common_scale([p for (_, p), _ in atoms])
     mass: dict[int, int] = {}
-    for (d, _), wn in zip(live, wnums):
-        for v, p in d.atoms:
-            k = v.numerator * (vden // v.denominator)
-            mass[k] = mass.get(k, 0) + wn * p.numerator * (pden // p.denominator)
+    for k, pn, (_, wn) in zip(vnums, pnums, atoms):
+        mass[k] = mass.get(k, 0) + wn * pn
     return _dist_on_scale(mass, vden, wden * pden)
 
 

@@ -1,27 +1,32 @@
-"""Decision procedures for stochastic dominance and certificate checking.
+"""Decision procedures for stochastic dominance, the witness types and
+certificate checking.
 
 First-order dominance compares CDFs at the merged atom values;
 second-order dominance is decided in the quantile domain (a breakpoint
 scan over the gap integral, reusing the Expected Shortfall machinery).
-Both are exact.  The verifiers check diversification witnesses against
-their defining identities, again exactly: a certificate that passes here
-is a proof.  They sum over one common integer scale: the slot-wise
-combination of a certificate, the convex combination of a joint law and
-the mixture of its marginals each bring their Fractions to a least
-common denominator, add integer numerators and make Fractions only for
-the distribution they compare.  The last two are folds over one integer
-view of the joint, built once per check; it reads cells by value, as
-parsed bundles share no cell objects (see `divcert.dist`).  The verifiers
-import nothing from the construction code in `certify` at runtime.
+Both are exact.  The witness types `TTransform`, `PermutationCertificate`
+and `MartingaleCoupling` are defined here with every rule that makes
+them valid; `certify` builds them, and this module imports nothing from
+`certify`, so no check runs construction code.  The verifiers check
+witnesses against their defining identities, again exactly: a
+certificate that passes here is a proof.  The validators and verifiers
+follow one idiom: each vector of Fractions (coupling cells, certificate
+weights, the slot-wise `PermutationCertificate.combine`, the convex
+combination of a joint law and the mixture of its marginals) is brought
+to one common denominator, sums and comparisons run on the integer
+numerators, and Fractions are made only for a result or an error
+message.  The last two are folds over one integer view of the joint,
+built once per check; it reads cells by value, as parsed bundles share
+no cell objects (see `divcert.dist`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import sub
-from typing import TYPE_CHECKING, Sequence
+from itertools import accumulate, chain
+from operator import add, mul, sub
+from typing import Sequence
 
 from .dist import (
     JointDist,
@@ -32,9 +37,6 @@ from .dist import (
     regrid,
 )
 from .risk import ssd_violation
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .certify import PermutationCertificate
 
 
 def fsd_violation(xi: SimpleDist, eta: SimpleDist) -> Fraction | None:
@@ -61,6 +63,116 @@ def check_ssd(xi: SimpleDist, eta: SimpleDist) -> bool:
     both sides are piecewise linear, so the scan is exact and complete.
     """
     return ssd_violation(xi, eta) is None
+
+
+@dataclass(frozen=True)
+class TTransform:
+    """Doubly stochastic transfer (1-s)*I + s*Q_ij mixing coordinates i<j."""
+
+    i: int
+    j: int
+    s: Fraction
+
+    def __post_init__(self):
+        if not 0 <= self.i < self.j:
+            raise ValueError("need 0 <= i < j")
+        if not 0 < self.s <= 1:
+            raise ValueError("mixing share must lie in (0, 1]")
+
+    def apply(self, vec: list[Fraction]) -> None:
+        """Replace entries i and j by their s-mix, in place."""
+        vi, vj = vec[self.i], vec[self.j]
+        vec[self.i] = vi + self.s * (vj - vi)
+        vec[self.j] = vj + self.s * (vi - vj)
+
+
+@dataclass(frozen=True)
+class PermutationCertificate:
+    """Convex combination of permutations witnessing a = sum_k w_k * (b o perm_k).
+
+    `terms` holds (perm, weight) pairs; perm maps slot index to source
+    index in the dominated grid (0-based).  Weights are positive and sum
+    to exactly 1, and the term count never exceeds (n-1)^2 + 1.
+    """
+
+    n: int
+    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("grid size must be positive")
+        if not self.terms:
+            raise ValueError("a certificate needs at least one term")
+        if len(self.terms) > (self.n - 1) ** 2 + 1:
+            raise ValueError(
+                f"{len(self.terms)} terms exceed the bound {(self.n - 1) ** 2 + 1}"
+            )
+        full = frozenset(range(self.n))
+        nums, den = common_scale(self.weights)
+        for (perm, _), num in zip(self.terms, nums):
+            if len(perm) != self.n or frozenset(perm) != full:
+                raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")
+            if num <= 0:
+                raise ValueError("term weights must be positive")
+        total = sum(nums)
+        if total != den:
+            raise ValueError(f"term weights sum to {Fraction(total, den)}, not 1")
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(w for _, w in self.terms)
+
+    def combine(self, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        """Slot-wise weighted combination sum_k w_k * values[perm_k[i]]."""
+        if len(values) != self.n:
+            raise ValueError(f"expected {self.n} values, got {len(values)}")
+        wnums, wden = common_scale(self.weights)
+        vnums, vden = common_scale(values)
+        acc = [0] * self.n
+        for (perm, _), wn in zip(self.terms, wnums):
+            acc = [a + wn * vnums[src] for a, src in zip(acc, perm)]
+        scale = wden * vden
+        return tuple(Fraction(a, scale) for a in acc)
+
+
+@dataclass(frozen=True)
+class MartingaleCoupling:
+    """Joint law on grid slots with uniform marginals and the martingale
+    property: conditionally on each row slot, the column values average
+    back to the row value exactly."""
+
+    n: int
+    matrix: tuple[tuple[Fraction, ...], ...]
+    row_values: tuple[Fraction, ...]
+    col_values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        n = self.n
+        if n < 1:
+            raise ValueError("grid size must be positive")
+        if len(self.matrix) != n or len(self.row_values) != n or len(self.col_values) != n:
+            raise ValueError("matrix and value grids must all have size n")
+        # cell c = cnum/den and column value v = vnum/vden: a row sums to
+        # 1/n iff n * sum(cnum) == den, and it averages back to its row
+        # value r iff n * sum(cnum * vnum) == r * den * vden
+        cells, den = common_scale(list(chain.from_iterable(self.matrix)))
+        vnums, vden = common_scale(self.col_values)
+        col_sums = [0] * n
+        for i, row in enumerate(self.matrix):
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            nums = cells[i * n:(i + 1) * n]  # rows before i all hold n cells
+            if min(nums) < 0:
+                raise ValueError("entries must be non-negative")
+            row_sum = sum(nums)
+            if row_sum * n != den:
+                raise ValueError(f"row {i} sums to {Fraction(row_sum, den)}, not 1/{n}")
+            r = self.row_values[i]
+            if n * sum(map(mul, nums, vnums)) * r.denominator != r.numerator * den * vden:
+                raise ValueError(f"martingale property fails on row {i}")
+            col_sums = list(map(add, col_sums, nums))
+        if any(c * n != den for c in col_sums):
+            raise ValueError(f"column sums must all be 1/{n}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +208,7 @@ def check_majorization(a: UniformGrid, b: UniformGrid) -> MajorizationCheck:
 
 
 def verify_div1_certificate(
-    xi: SimpleDist, eta: SimpleDist, cert: "PermutationCertificate"
+    xi: SimpleDist, eta: SimpleDist, cert: PermutationCertificate
 ) -> bool:
     """Check a permutation certificate for diversification dominance.
 

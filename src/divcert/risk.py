@@ -103,10 +103,7 @@ def _gap_at_breakpoints(
 def ssd_violation(xi: SimpleDist, eta: SimpleDist) -> Fraction | None:
     """Smallest breakpoint alpha at which the quantile-gap integral
     G(alpha) is positive, or None when xi second-order dominates eta."""
-    for alpha, gap in _gap_at_breakpoints(xi, eta):
-        if gap > 0:
-            return alpha
-    return None
+    return next((alpha for alpha, gap in _gap_at_breakpoints(xi, eta) if gap > 0), None)
 
 
 def ssd_gap(xi: SimpleDist, eta: SimpleDist) -> Fraction:

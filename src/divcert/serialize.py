@@ -30,8 +30,9 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from .certify import LiftResult, MartingaleCoupling, PermutationCertificate
+from .certify import LiftResult
 from .dist import JointDist, SimpleDist, as_rational
+from .dominance import MartingaleCoupling, PermutationCertificate
 
 
 def _too_long(x: Fraction) -> str | None:
@@ -57,9 +58,13 @@ def rational_str(x: Fraction) -> str:
         raise ValueError(f"the exact result has {_too_long(x)}") from None
 
 
-def decimal_str(x: Fraction, digits: int = 12) -> str:
-    """Decimal rendering with `digits` significant digits."""
-    ctx = decimal.Context(prec=digits)
+#: Significant digits of the decimal rendering beside each exact value.
+DECIMAL_DIGITS = 12
+
+
+def decimal_str(x: Fraction) -> str:
+    """Decimal rendering with DECIMAL_DIGITS significant digits."""
+    ctx = decimal.Context(prec=DECIMAL_DIGITS)
     return str(ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)))
 
 
@@ -137,7 +142,9 @@ def joint_from_obj(obj) -> JointDist:
         _fields(entry, "each joint atom", "v", "p")
         vec = _rationals(entry["v"], "joint atom v")
         pairs.append((vec, _rationals([entry["p"]], "joint atom p")[0]))
-    return JointDist.from_pairs(pairs)
+    # divcert writes joints canonical (sorted, distinct, positive masses):
+    # the validator refuses any other, nothing is re-sorted or merged
+    return JointDist(tuple(pairs))
 
 
 def certificate_to_obj(cert: PermutationCertificate) -> dict:
@@ -263,7 +270,11 @@ def load_dist(path: str) -> SimpleDist:
         d = load_samples_csv(path)
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            d = dist_from_obj(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+        d = dist_from_obj(obj)
     for atom in d.atoms:
         for x in atom:
             if problem := _too_long(x):

@@ -338,6 +338,12 @@ class TestBadInput:
             assert err.startswith("error: ")
             assert f"CERTIFY_DENOMINATOR_BITS = {certify.CERTIFY_DENOMINATOR_BITS} bits" in err
 
+    def test_deeply_nested_json(self, files, capsys):
+        deep = files["tmp"] / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["certify", str(deep), files["zero"]]) == 2
+        self._assert_input_error(capsys)
+
     def test_json_booleans_are_not_numbers(self, files, capsys):
         for atom in ({"v": True, "p": "1"}, {"v": "1", "p": True}):
             bad = self._atoms_file(files["tmp"], [atom])
@@ -391,3 +397,16 @@ class TestDemo:
         assert capsys.readouterr().err.startswith("error: max_doublings")
         assert main(["demo-lln", "--max-doublings", "30", "--grid", "64", "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: sampling 30 doublings")
+
+    def test_grid_point_bound_fails_before_any_stage(self, capsys, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("the bound must refuse the table before any stage")
+
+        monkeypatch.setattr(demo, "gamma_mean_quantile_dist", no_stage)
+        monkeypatch.setattr(demo, "sampled_mean_dist", no_stage)
+        start = time.perf_counter()
+        assert main(["demo-lln", "--grid", "100000000"]) == 2
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"MAX_GRID_POINTS = {demo.MAX_GRID_POINTS}" in err

@@ -211,23 +211,22 @@ class TestVerifiers:
 
 
 class TestVerifierDesign:
-    def test_dominance_imports_certify_only_for_type_checking(self):
+    def test_dominance_defines_the_witnesses_and_imports_no_certify(self):
+        import divcert.certify
         import divcert.dominance
 
         with open(divcert.dominance.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        guarded = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-                guarded.update(id(n) for stmt in node.body for n in ast.walk(stmt))
         certify_imports = [
             node for node in ast.walk(tree)
             if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("certify"))
             or (isinstance(node, ast.Import)
                 and any(a.name.endswith("certify") for a in node.names))
         ]
-        assert certify_imports  # the type-only import is still found
-        assert all(id(node) in guarded for node in certify_imports)
+        assert certify_imports == []
+        for name in ("TTransform", "PermutationCertificate", "MartingaleCoupling"):
+            assert getattr(divcert.dominance, name).__module__ == "divcert.dominance"
+        assert divcert.certify.PermutationCertificate is divcert.dominance.PermutationCertificate
 
     def test_div2_builds_no_marginal(self, monkeypatch):
         rng = random.Random(13)

@@ -112,6 +112,18 @@ class TestCertificateJson:
         assert joint_from_obj(obj["joint"]) == joint
         assert coupling_from_obj(obj["coupling"]) == coupling
 
+    def test_non_canonical_joint_is_refused(self):
+        """A written joint is sorted, distinct and of positive masses; the
+        parser refuses any other rather than repair it."""
+        xi, eta = helpers.spread_pair(random.Random(5), 4, 2)
+        atoms = _wire(xi, eta)["joint"]["atoms"]
+        assert len(atoms) >= 2
+        swapped = [atoms[1], atoms[0], *atoms[2:]]
+        zero_mass = [*atoms, {"v": [str(max(eta.values) + 1)] * len(atoms[0]["v"]), "p": "0"}]
+        for bad in (swapped, zero_mass):
+            with pytest.raises(ValueError):
+                joint_from_obj({"atoms": bad})
+
     @pytest.mark.parametrize("parse, obj", list(MALFORMED_BUNDLE_PARTS.values()),
                              ids=list(MALFORMED_BUNDLE_PARTS))
     def test_malformed_parts_are_value_errors(self, parse, obj):
