@@ -18,10 +18,12 @@ data:
 The certificate and the coupling are two views of one D, and D exists
 only in that integer form: a single private step runs the checks and
 the transfer product (numerators over one common denominator L), the
-coupling reads D/n straight off those integers and the peel then
+coupling takes a copy of those integers over n * L and the peel then
 consumes them (`certify_bundle` returns both from one product).  The
-witness types and the rules that make them valid are defined in
-`divcert.dominance`; this module only builds them.
+joint law is built from the numerators of eta's grid.  No witness cell
+becomes a Fraction here: the witness types hold integer views, and they
+and the rules that make them valid are defined in `divcert.dominance`
+and `divcert.dist`; this module only builds them.
 
 All constructions are deterministic: the transfer chain always picks the
 smallest deficient index and the smallest surplus index after it, and
@@ -42,7 +44,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import add, sub
 
 from .dist import (
@@ -64,10 +66,11 @@ from .matching import lex_min_perfect_matching
 from .risk import ssd_violation
 
 #: Slot cap of certify_div1, mps_coupling and certify_bundle.  The
-#: transfer rows and the coupling are dense n x n structures: certifying
-#: xi = eta on n distinct values took 3.0 s and 233 MB at n = 1024 (2-core
-#: x86-64, CPython 3.11) and grew about 4.6-fold per doubling of n.  A
-#: larger pair fails with GridCapError before anything n x n is allocated.
+#: transfer rows and the coupling are dense n x n structures: `divcert
+#: certify --out` on xi = eta with n distinct values took 0.7 s and a peak
+#: RSS of 74 MB at n = 1024 (2-core x86-64, CPython 3.11), and its time
+#: grew about 3.4-fold per doubling of n.  A larger pair fails with
+#: GridCapError before anything n x n is allocated.
 CERTIFY_SLOT_CAP = 1024
 
 #: Bound on the bits of any row denominator of the transfer product.  The
@@ -355,11 +358,8 @@ def _transfer_product(
 def _coupling(
     a: UniformGrid, b: UniformGrid, rows: list[list[int]], L: int
 ) -> MartingaleCoupling:
-    """C = D/n, read straight off the integer rows (left untouched)."""
-    scale = a.n * L
-    zero = Fraction(0)  # most cells; one shared object, checked like any other
-    matrix = tuple(tuple(Fraction(x, scale) if x else zero for x in row) for row in rows)
-    return MartingaleCoupling(n=a.n, matrix=matrix, row_values=a.values, col_values=b.values)
+    """C = D/n: a copy of the integer rows over n * L (rows left untouched)."""
+    return MartingaleCoupling(a.n, tuple(map(tuple, rows)), a.n * L, a.values, b.values)
 
 
 def _certificate(
@@ -367,24 +367,15 @@ def _certificate(
 ) -> tuple[PermutationCertificate, JointDist]:
     """Peel D = rows/L (consuming rows) and build the witnessing joint law.
 
-    Slot i carries the vector (b[perm_k[i]])_k with probability 1/n.  The
-    grid b is sorted, so the ranks of its distinct values order and merge
-    these vectors exactly as the values do, as tuples of ints.
+    Slot i carries the vector (b[perm_k[i]])_k with probability 1/n, held
+    as the numerators of b over one denominator.  The grid b is sorted, so
+    those integers order and merge the vectors exactly as the values do.
     """
     cert = PermutationCertificate(n=a.n, terms=tuple(_peel_scaled(rows, L)))
-    distinct: list[Fraction] = []
-    rank = []
-    for v in b.values:
-        if not distinct or v != distinct[-1]:
-            distinct.append(v)
-        rank.append(len(distinct) - 1)
-    slots = sorted(zip(*([rank[src] for src in perm] for perm, _ in cert.terms)))
-    joint = JointDist(
-        tuple(
-            (tuple(distinct[r] for r in key), Fraction(sum(1 for _ in group), a.n))
-            for key, group in groupby(slots)
-        )
-    )
+    bnums, bden = common_scale(b.values)
+    counts = Counter(zip(*([bnums[src] for src in perm] for perm, _ in cert.terms)))
+    vectors = sorted(counts)
+    joint = JointDist(tuple(vectors), bden, tuple(map(counts.__getitem__, vectors)), a.n)
     return cert, joint
 
 

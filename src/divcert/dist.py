@@ -1,8 +1,9 @@
 """Exact finite distributions on the rationals.
 
-All values and probabilities are :class:`fractions.Fraction`; every
-operation here is exact, so equality of canonical distributions is
-equality of the distributions themselves.  No floating point enters the
+All values and probabilities are exact rationals: instances of
+:class:`fractions.Fraction`, or in a joint law integers over one common
+denominator.  Every operation here is exact, so equality of canonical
+distributions is equality of the distributions themselves.  No floating point enters the
 core: machine reals are converted to their exact binary value on ingest
 and decimal strings parse as exact decimal fractions.
 
@@ -12,18 +13,14 @@ the sums, merges and comparisons run on the integer numerators, and
 Fractions are made only for the final result.  A Fraction sum would
 normalize by a gcd at every step and hash every value it merges.
 
+A joint law holds its atoms as one such integer view (`JointDist`): the
+vectors as numerators over one denominator, the masses over another,
+both the least.  certify builds it from integers and the parser from
+Fractions, scaled once; one validator checks the integers either way.
 Both sides of the diversification definition, the law of sum_i w_i X_i
-and the mixture of the marginals, are folds over one integer view of a
-joint law and a weight vector (`JointDist._on_scale`): the weights are
-validated once, and each cell's numerator and denominator are read once.
-The view reads cells by value and keys nothing on identity or hash.  A
-joint that certify builds shares one Fraction object per value among its
-cells, but a parsed one shares none, so a memo keyed on id() only adds a
-dict insert per cell there; and hashing the cells costs more than the
-whole view.  For the 11,200 cells of an n = 64 certificate (2-core
-x86-64, Python 3.11), a set of them takes 6 ms to build when built and
-13 ms when parsed; reading every numerator and denominator takes 1.6 ms,
-and the whole view about 3 ms.
+and the mixture of the marginals, are folds over that view and a weight
+vector (`JointDist._on_scale`): the weights are validated once, and no
+cell is read as a Fraction.
 
 `as_rational` keeps no memo of the strings it has parsed, though a parsed
 bundle repeats a few values thousands of times: in a prototype, a
@@ -41,8 +38,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, gt, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -127,6 +125,26 @@ def common_scale(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     dens = list(map(_denominator, xs))
     den = math.lcm(*set(dens))
     return list(map(mul, map(_numerator, xs), map(den.__floordiv__, dens))), den
+
+
+def _scale_rows(vectors: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Numerators of every rational in `vectors` over their least common
+    denominator, split into rows of the vectors' own lengths, and that
+    denominator."""
+    nums, den = common_scale(list(chain.from_iterable(vectors)))
+    flat = iter(nums)
+    return tuple(tuple(islice(flat, len(vec))) for vec in vectors), den
+
+
+def _least_scale(rows: Sequence[Sequence[int]], den: int) -> tuple[Sequence[Sequence[int]], int]:
+    """rows/den over the least denominator: any factor that `den` shares
+    with every numerator cancels."""
+    g = den
+    for row in rows:
+        g = math.gcd(g, *row)
+        if g == 1:  # most often after the first row
+            return rows, den
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
 def simplex_weights(weights: Sequence, size: int | None = None) -> tuple[Fraction, ...]:
@@ -399,30 +417,51 @@ class JointDist:
     """Finite joint distribution of m real coordinates.
 
     Atoms are (vector, probability) pairs with distinct vectors sorted
-    lexicographically, probabilities positive and summing to 1.
+    lexicographically, probabilities positive and summing to 1.  They are
+    held as one integer view: coordinate j of atom a is rows[a][j] / vden
+    and the atom's probability masses[a] / pden, over the least such
+    denominators, so equal laws are equal objects however they were built.
+    The constructor takes that view; `from_atoms` and `from_pairs` take
+    Fractions and scale them once.  `atoms` is the Fraction view.
     """
 
-    atoms: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    rows: tuple[tuple[int, ...], ...]
+    vden: int
+    masses: tuple[int, ...]
+    pden: int
 
     def __post_init__(self):
-        if not self.atoms:
+        rows, masses = self.rows, self.masses
+        if not rows:
             raise ValueError("a joint distribution needs at least one atom")
-        m = len(self.atoms[0][0])
+        m = len(rows[0])
         if m < 1:
             raise ValueError("joint distributions need at least one coordinate")
-        total = Fraction(0)
+        if len(masses) != len(rows) or self.vden < 1 or self.pden < 1:
+            raise ValueError("a joint needs one mass per atom and positive denominators")
         prev = None
-        for vec, prob in self.atoms:
-            if len(vec) != m:
+        for row, mass in zip(rows, masses):
+            if len(row) != m:
                 raise ValueError("all atom vectors must share the same length")
-            if prob <= 0:
+            if mass <= 0:
                 raise ValueError("probabilities must be positive")
-            if prev is not None and vec <= prev:
+            if prev is not None and row <= prev:
                 raise ValueError("atom vectors must be distinct and sorted")
-            prev = vec
-            total += prob
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+            prev = row
+        total = sum(masses)
+        if total != self.pden:
+            raise ValueError(f"probabilities sum to {Fraction(total, self.pden)}, not 1")
+        rows, vden = _least_scale(rows, self.vden)
+        (masses,), pden = _least_scale((masses,), self.pden)
+        for name, value in ("rows", rows), ("vden", vden), ("masses", masses), ("pden", pden):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def from_atoms(atoms: Sequence[tuple[Sequence[Fraction], Fraction]]) -> "JointDist":
+        """The joint law of canonical (vector, probability) Fraction pairs."""
+        rows, vden = _scale_rows([vec for vec, _ in atoms])
+        masses, pden = common_scale([p for _, p in atoms])
+        return JointDist(rows, vden, tuple(masses), pden)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple]) -> "JointDist":
@@ -443,11 +482,19 @@ class JointDist:
                 merged[-1] = (vec, merged[-1][1] + p)
             else:
                 merged.append((vec, p))
-        return JointDist(tuple(merged))
+        return JointDist.from_atoms(merged)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        vden, pden = self.vden, self.pden
+        return tuple(
+            (tuple(Fraction(x, vden) for x in row), Fraction(mass, pden))
+            for row, mass in zip(self.rows, self.masses)
+        )
 
     @property
     def m(self) -> int:
-        return len(self.atoms[0][0])
+        return len(self.rows[0])
 
     def marginal(self, i: int) -> SimpleDist:
         """Distribution of coordinate i (0-based)."""
@@ -468,22 +515,16 @@ class JointDist:
         return self._on_scale(weights).mixture()
 
     def _on_scale(self, weights: Sequence) -> "_ScaledJoint":
-        """Validate `weights` and bring them, the probabilities and every
-        coordinate with positive weight to integer scales.  Each cell's
-        numerator and denominator are read once, by value: the cells of a
-        parsed joint are distinct objects even where their values repeat."""
+        """Validate `weights`, bring them to one integer scale and restrict
+        the held integer view to the coordinates of positive weight; no
+        cell is rescaled."""
         ws = simplex_weights(weights, self.m)
         live = [i for i, w in enumerate(ws) if w]
         wnums, wden = common_scale([ws[i] for i in live])
-        pnums, pden = common_scale([p for _, p in self.atoms])
-        if len(live) == len(ws):
-            vecs = [vec for vec, _ in self.atoms]
-        else:
-            vecs = [list(map(vec.__getitem__, live)) for vec, _ in self.atoms]
-        cells, vden = common_scale(list(chain.from_iterable(vecs)))
-        width = len(live)
-        rows = [cells[start:start + width] for start in range(0, len(cells), width)]
-        return _ScaledJoint(rows, vden, wnums, wden, pnums, pden)
+        rows = self.rows
+        if len(live) < len(ws):
+            rows = [list(map(row.__getitem__, live)) for row in rows]
+        return _ScaledJoint(rows, self.vden, wnums, wden, self.masses, self.pden)
 
 
 class _ScaledJoint(NamedTuple):
@@ -492,11 +533,11 @@ class _ScaledJoint(NamedTuple):
     weight is wnums[j] / wden and the atom's probability pnums[a] / pden.
     Both sides of the diversification definition are folds over it."""
 
-    rows: list[list[int]]
+    rows: Sequence[Sequence[int]]
     vden: int
     wnums: list[int]
     wden: int
-    pnums: list[int]
+    pnums: Sequence[int]
     pden: int
 
     def convex_combination(self) -> SimpleDist:

@@ -10,21 +10,21 @@ them valid; `certify` builds them, and this module imports nothing from
 `certify`, so no check runs construction code.  The verifiers check
 witnesses against their defining identities, again exactly: a
 certificate that passes here is a proof.  The validators and verifiers
-follow one idiom: each vector of Fractions (coupling cells, certificate
-weights, the slot-wise `PermutationCertificate.combine`, the convex
-combination of a joint law and the mixture of its marginals) is brought
-to one common denominator, sums and comparisons run on the integer
-numerators, and Fractions are made only for a result or an error
-message.  The last two are folds over one integer view of the joint,
-built once per check; it reads cells by value, as parsed bundles share
-no cell objects (see `divcert.dist`).
+follow one idiom: each vector of Fractions (certificate weights, the
+slot-wise `PermutationCertificate.combine`) is brought to one common
+denominator, sums and comparisons run on the integer numerators, and
+Fractions are made only for a result or an error message.  A joint law
+and a coupling hold that integer view as their state (see
+`divcert.dist`), so their checks, the convex combination of a joint law
+and the mixture of its marginals read integers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -32,6 +32,8 @@ from .dist import (
     JointDist,
     SimpleDist,
     UniformGrid,
+    _least_scale,
+    _scale_rows,
     cdf_steps,
     common_scale,
     regrid,
@@ -139,40 +141,60 @@ class PermutationCertificate:
 class MartingaleCoupling:
     """Joint law on grid slots with uniform marginals and the martingale
     property: conditionally on each row slot, the column values average
-    back to the row value exactly."""
+    back to the row value exactly.
+
+    The n x n cells are held as one integer view: cell (i, j) is
+    cells[i][j] / den, over the least such denominator.  The constructor
+    takes that view; `from_matrix` takes Fractions and scales them once.
+    `matrix` is the Fraction view."""
 
     n: int
-    matrix: tuple[tuple[Fraction, ...], ...]
+    cells: tuple[tuple[int, ...], ...]
+    den: int
     row_values: tuple[Fraction, ...]
     col_values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        n = self.n
+        n, cells, den = self.n, self.cells, self.den
         if n < 1:
             raise ValueError("grid size must be positive")
-        if len(self.matrix) != n or len(self.row_values) != n or len(self.col_values) != n:
+        if len(cells) != n or len(self.row_values) != n or len(self.col_values) != n:
             raise ValueError("matrix and value grids must all have size n")
-        # cell c = cnum/den and column value v = vnum/vden: a row sums to
-        # 1/n iff n * sum(cnum) == den, and it averages back to its row
-        # value r iff n * sum(cnum * vnum) == r * den * vden
-        cells, den = common_scale(list(chain.from_iterable(self.matrix)))
+        if den < 1:
+            raise ValueError("the cell denominator must be positive")
+        # column value v = vnum/vden: a row sums to 1/n iff n * sum(cells)
+        # == den, and it averages back to its row value r iff
+        # n * sum(cell * vnum) == r * den * vden
         vnums, vden = common_scale(self.col_values)
         col_sums = [0] * n
-        for i, row in enumerate(self.matrix):
+        for i, (row, r) in enumerate(zip(cells, self.row_values)):
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            nums = cells[i * n:(i + 1) * n]  # rows before i all hold n cells
-            if min(nums) < 0:
+            if min(row) < 0:
                 raise ValueError("entries must be non-negative")
-            row_sum = sum(nums)
+            row_sum = sum(row)
             if row_sum * n != den:
                 raise ValueError(f"row {i} sums to {Fraction(row_sum, den)}, not 1/{n}")
-            r = self.row_values[i]
-            if n * sum(map(mul, nums, vnums)) * r.denominator != r.numerator * den * vden:
+            if n * sum(map(mul, row, vnums)) * r.denominator != r.numerator * den * vden:
                 raise ValueError(f"martingale property fails on row {i}")
-            col_sums = list(map(add, col_sums, nums))
+            col_sums = list(map(add, col_sums, row))
         if any(c * n != den for c in col_sums):
             raise ValueError(f"column sums must all be 1/{n}")
+        cells, den = _least_scale(cells, den)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def from_matrix(n: int, matrix, row_values, col_values) -> "MartingaleCoupling":
+        """The coupling whose cell (i, j) is the Fraction matrix[i][j]."""
+        cells, den = _scale_rows(matrix)
+        return MartingaleCoupling(n, cells, den, row_values, col_values)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        zero = Fraction(0)  # most cells of a large coupling
+        return tuple(tuple(Fraction(x, den) if x else zero for x in row) for row in self.cells)
 
 
 @dataclass(frozen=True)
@@ -240,8 +262,9 @@ def verify_div2_instance(
 ) -> bool:
     """Check a weighted-position witness: the convex combination of the
     joint coordinates must equal xi and the mixture of its marginals must
-    equal eta, both exactly.  Both laws are folds over one integer view of
-    the joint (`JointDist._on_scale`), the mixture run only when the convex
-    combination matches; no marginal is built."""
+    equal eta, both exactly.  Both laws are folds over the integer view
+    the joint holds, restricted to the coordinates of positive weight
+    (`JointDist._on_scale`); the mixture runs only when the convex
+    combination matches, and no marginal is built."""
     scaled = joint._on_scale(weights)
     return scaled.convex_combination() == xi and scaled.mixture() == eta

@@ -116,21 +116,19 @@ def dist_from_obj(obj) -> SimpleDist:
     return SimpleDist.from_pairs(pairs)
 
 
+def _texts(rows, den: int) -> list[list[str]]:
+    """The rational strings of rows/den, each distinct numerator printed
+    once: a certificate repeats a few values in thousands of cells."""
+    text = {k: rational_str(Fraction(k, den)) for k in set(chain.from_iterable(rows))}
+    return [list(map(text.__getitem__, row)) for row in rows]
+
+
 def joint_to_obj(j: JointDist) -> dict:
-    # A built joint holds each of a few distinct values in thousands of
-    # cells: print each cell object once.  Keying on id() is sound because
-    # `j` keeps every cell alive for the whole call.
-    cells = list(chain.from_iterable(vec for vec, _ in j.atoms))
-    ids = list(map(id, cells))
-    distinct = dict(zip(ids, cells))
-    text = dict(zip(distinct, map(rational_str, distinct.values())))
-    cell_text = list(map(text.__getitem__, ids))
-    m = j.m
     return {
-        "m": m,
+        "m": j.m,
         "atoms": [
-            {"v": cell_text[start:start + m], "p": rational_str(p)}
-            for start, (_, p) in zip(range(0, len(cells), m), j.atoms)
+            {"v": vec, "p": rational_str(Fraction(mass, j.pden))}
+            for vec, mass in zip(_texts(j.rows, j.vden), j.masses)
         ],
     }
 
@@ -144,7 +142,7 @@ def joint_from_obj(obj) -> JointDist:
         pairs.append((vec, _rationals([entry["p"]], "joint atom p")[0]))
     # divcert writes joints canonical (sorted, distinct, positive masses):
     # the validator refuses any other, nothing is re-sorted or merged
-    return JointDist(tuple(pairs))
+    return JointDist.from_atoms(pairs)
 
 
 def certificate_to_obj(cert: PermutationCertificate) -> dict:
@@ -173,14 +171,13 @@ def coupling_to_obj(c: MartingaleCoupling) -> dict:
         "n": c.n,
         "row_values": [rational_str(v) for v in c.row_values],
         "col_values": [rational_str(v) for v in c.col_values],
-        # most cells of a large coupling are zero: write them without Fraction.__str__
-        "matrix": [[rational_str(x) if x else "0" for x in row] for row in c.matrix],
+        "matrix": _texts(c.cells, c.den),
     }
 
 
 def coupling_from_obj(obj) -> MartingaleCoupling:
     _fields(obj, "coupling JSON", "n", "row_values", "col_values", "matrix")
-    return MartingaleCoupling(
+    return MartingaleCoupling.from_matrix(
         n=_int(obj["n"], "n"),
         matrix=tuple(_rationals(row, "matrix row") for row in _list(obj["matrix"], "matrix")),
         row_values=_rationals(obj["row_values"], "row_values"),

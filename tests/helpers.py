@@ -7,6 +7,7 @@ stay well under the grid cap.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -137,6 +138,24 @@ def rand_joint(
     return JointDist.from_pairs(
         (vec, Fraction(w, total)) for vec, w in zip(vectors, weights)
     )
+
+
+def integer_view(vectors, factor: int = 2) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The exact numbers in `vectors` (Fractions, ints or rational strings)
+    as integer rows over one denominator, `factor` times the least one: the
+    integer way into JointDist and MartingaleCoupling, which must cancel the
+    factor."""
+    rows = [[Fraction(x) for x in vec] for vec in vectors]
+    den = factor * math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in rows), den
+
+
+def joint_from_integers(atoms, factor: int = 2) -> JointDist:
+    """The joint law of (vector, probability) pairs, built through its
+    integer constructor."""
+    rows, vden = integer_view([vec for vec, _ in atoms], factor)
+    (masses,), pden = integer_view([[p for _, p in atoms]], factor)
+    return JointDist(rows, vden, masses, pden)
 
 
 def rand_simplex_weights(rng: random.Random, m: int) -> tuple[Fraction, ...]:

@@ -383,9 +383,15 @@ BROKEN_COUPLINGS = {
 class TestCouplingRejects:
     @pytest.mark.parametrize("case", sorted(BROKEN_COUPLINGS))
     def test_direct(self, case):
+        """Both ways in refuse with the same message: Fraction cells, and
+        integer cells over a denominator the validator must reduce."""
         n, matrix, rows, cols, message = BROKEN_COUPLINGS[case]
-        with pytest.raises(ValueError, match=message):
-            MartingaleCoupling(n, matrix, rows, cols)
+        cells, den = helpers.integer_view(matrix)
+        with pytest.raises(ValueError, match=message) as fractions_way:
+            MartingaleCoupling.from_matrix(n, matrix, rows, cols)
+        with pytest.raises(ValueError) as integers_way:
+            MartingaleCoupling(n, cells, den, rows, cols)
+        assert str(integers_way.value) == str(fractions_way.value)
 
     @pytest.mark.parametrize("case", sorted(BROKEN_COUPLINGS))
     def test_from_obj(self, case):
@@ -401,8 +407,8 @@ class TestCouplingRejects:
 
     def test_the_unbroken_cases_pass(self):
         # the fixes of the cases above validate, so each case breaks one thing
-        MartingaleCoupling(2, ((HALF, 0), (0, HALF)), (F(0), F(1)), (F(0), F(1)))
-        MartingaleCoupling(2, ((Q, Q), (Q, Q)), (F(0), F(0)), (F(0), F(0)))
+        MartingaleCoupling.from_matrix(2, ((HALF, 0), (0, HALF)), (F(0), F(1)), (F(0), F(1)))
+        MartingaleCoupling.from_matrix(2, ((Q, Q), (Q, Q)), (F(0), F(0)), (F(0), F(0)))
 
 
 class TestLift:

@@ -138,10 +138,10 @@ class TestCertify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reason"] == "ssd violated at alpha=1/2"
 
-    def test_bundles_are_byte_identical_to_the_recorded_digest(self, tmp_path):
-        # Pins every byte `certify --out` writes: the terms, the joint law
-        # and the coupling.  The digest was recorded when the certificate
-        # and the coupling were still built by two separate constructions.
+    @staticmethod
+    def _digest(tmp_path, command):
+        """sha256 of every byte `divcert <command> --out` writes for the 24
+        mps pairs and the two n = 64 spread pairs of seed 4242."""
         rng = random.Random(4242)
         pairs = [helpers.mps_pair(rng) for _ in range(24)]
         pairs += [helpers.spread_pair(rng, 8, 3) for _ in range(2)]
@@ -150,13 +150,26 @@ class TestCertify:
         for k, (xi, eta) in enumerate(pairs):
             xi_path = tmp_path / f"xi{k}.json"
             eta_path = tmp_path / f"eta{k}.json"
-            out_path = tmp_path / f"bundle{k}.json"
+            out_path = tmp_path / f"{command}{k}.json"
             xi_path.write_text(dumps(dist_to_obj(xi)))
             eta_path.write_text(dumps(dist_to_obj(eta)))
-            assert main(["certify", str(xi_path), str(eta_path), "--out", str(out_path)]) == 0
+            assert main([command, str(xi_path), str(eta_path), "--out", str(out_path)]) == 0
             digest.update(out_path.read_bytes())
-        assert digest.hexdigest() == (
+        return digest.hexdigest()
+
+    def test_bundles_are_byte_identical_to_the_recorded_digest(self, tmp_path):
+        # Pins every byte `certify --out` writes: the terms, the joint law
+        # and the coupling.  The digest was recorded when the certificate
+        # and the coupling were still built by two separate constructions.
+        assert self._digest(tmp_path, "certify") == (
             "835b1a308c97697d811615b965bf7da50b3d7ab94d29c2282f5be0bbc33e03ce"
+        )
+
+    def test_couplings_are_byte_identical_to_the_recorded_digest(self, tmp_path):
+        # Pins every byte `mps --out` writes for the same pairs.  The digest
+        # was recorded when the coupling still held one Fraction per cell.
+        assert self._digest(tmp_path, "mps") == (
+            "aa807955087a55dd5262cf74a2982bf7f03e7ba95035355d50594d201fab300a"
         )
 
 

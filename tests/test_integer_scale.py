@@ -8,11 +8,12 @@ what were step-by-step recurrences.  The references in `oracles`
 on drawn inputs and must give equal results, or fail with the same
 ValueError message.
 
-Both sides of the diversification definition are folds over one integer
-view of a joint law; the joints drawn here hold their cells the two ways
-the library meets them: one shared object per value, as a constructed
-certificate does, and equal values in distinct objects, as a parsed
-bundle does.
+Both sides of the diversification definition are folds over the integer
+view a joint law holds.  The joints drawn here come in by both ways:
+from Fractions (one shared object per value, or equal values in distinct
+objects, as a parsed bundle has them) and from integers over a
+denominator above the least, as certify hands them over.  For a joint
+law and for a coupling, both ways in must give equal objects.
 
 The transfer chain and the majorization test run on integer numerators
 too, the chain in one forward pass; on drawn grids they must return the
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 import divcert.dist
 import divcert.dominance
+import helpers
 import oracles
 from divcert import (
     JointDist,
@@ -91,11 +93,11 @@ def dists(draw, max_atoms=5):
 
 
 @st.composite
-def joints(draw, max_m=4, max_atoms=6):
-    """Joint laws whose coordinates come from a small pool, so values repeat
-    within and across vectors; repeated vectors merge.  Either every cell
-    of a value is one shared Fraction object, as certify builds a joint, or
-    every cell is an object of its own, as the parsers build one."""
+def joint_atoms(draw, max_m=4, max_atoms=6):
+    """The canonical Fraction atoms of a joint law whose coordinates come
+    from a small pool, so values repeat within and across vectors;
+    repeated vectors merge.  Either every cell of a value is one shared
+    Fraction object or every cell is an object of its own."""
     m = draw(st.integers(1, max_m))
     pool = list(dict.fromkeys(draw(st.lists(values, min_size=1, max_size=4))))
     k = draw(st.integers(1, max_atoms))
@@ -107,8 +109,21 @@ def joints(draw, max_m=4, max_atoms=6):
     )
     if not draw(st.booleans()):
         vecs = [tuple(F(v.numerator, v.denominator) for v in vec) for vec in vecs]
-    ps = draw(simplex(k, allow_zero=False))
-    return JointDist.from_pairs(zip(vecs, ps))
+    merged = {}
+    for vec, p in zip(vecs, draw(simplex(k, allow_zero=False))):
+        merged[vec] = merged.get(vec, 0) + p
+    return tuple(sorted(merged.items()))
+
+
+@st.composite
+def joints(draw, max_m=4, max_atoms=6):
+    """Joint laws built either way in: from Fractions, as the parser and
+    from_pairs build them, or from integers over a denominator a drawn
+    factor above the least, as certify builds them."""
+    atoms = draw(joint_atoms(max_m, max_atoms))
+    if draw(st.booleans()):
+        return JointDist.from_atoms(atoms)
+    return helpers.joint_from_integers(atoms, draw(st.integers(1, 6)))
 
 
 @st.composite
@@ -289,11 +304,13 @@ class TestSums:
         assert mixture(ds, ws) == oracles.naive_mixture(ds, ws)
 
     @given(joints(), st.data())
+    @settings(max_examples=200)
     def test_convex_combination(self, j, data):
         ws = data.draw(simplex(j.m))
         assert convex_combination(j, ws) == oracles.naive_convex_combination(j, ws)
 
     @given(joints(), st.data())
+    @settings(max_examples=200)
     def test_mixture_of_marginals(self, j, data):
         ws = data.draw(simplex(j.m))
         assert j.mixture_of_marginals(ws) == oracles.naive_mixture_of_marginals(j, ws)
@@ -321,9 +338,12 @@ class TestSums:
             row_values[data.draw(st.integers(0, n - 1))] += data.draw(values)
         matrix = data.draw(perturbed(matrix))
         args = (n, matrix, tuple(row_values), col_values)
-        assert failure(lambda: MartingaleCoupling(*args)) == failure(
-            lambda: oracles.naive_validate_coupling(*args)
-        )
+        expected = failure(lambda: oracles.naive_validate_coupling(*args))
+        assert failure(lambda: MartingaleCoupling.from_matrix(*args)) == expected
+        cells, den = helpers.integer_view(matrix, data.draw(st.integers(1, 6)))
+        assert failure(
+            lambda: MartingaleCoupling(n, cells, den, tuple(row_values), col_values)
+        ) == expected
 
 
 class TestValidators:
@@ -366,6 +386,31 @@ class TestIntegerView:
             monkeypatch.setattr(module, "simplex_weights", spy, raising=False)
         assert verify_div2_instance(law, mix, j, ws)
         assert len(calls) == 1
+
+    @given(joint_atoms(), st.integers(1, 6))
+    @settings(max_examples=100)
+    def test_both_ways_in_give_one_joint(self, atoms, factor):
+        built = helpers.joint_from_integers(atoms, factor)
+        parsed = JointDist.from_atoms(atoms)
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built.atoms == parsed.atoms == atoms
+        assert (built.rows, built.vden, built.masses, built.pden) == (
+            parsed.rows, parsed.vden, parsed.masses, parsed.pden
+        )
+
+    @given(doubly_stochastic_rows(), st.integers(1, 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_both_ways_in_give_one_coupling(self, rows, factor, data):
+        n = len(rows)
+        matrix = tuple(tuple(x / n for x in row) for row in rows)
+        cols = tuple(data.draw(st.lists(values, min_size=n, max_size=n)))
+        row_values = tuple(n * sum(map(F.__mul__, row, cols)) for row in matrix)
+        cells, den = helpers.integer_view(matrix, factor)
+        built = MartingaleCoupling(n, cells, den, row_values, cols)
+        parsed = MartingaleCoupling.from_matrix(n, matrix, row_values, cols)
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built.matrix == parsed.matrix == matrix
+        assert (built.cells, built.den) == (parsed.cells, parsed.den)
 
     @given(joints())
     def test_joint_to_obj(self, j):
@@ -436,8 +481,8 @@ class TestEdges:
         assert convex_combination(j, [1]) == j.marginal(0)
         cert = PermutationCertificate(n=1, terms=(((0,), F(1)),))
         assert cert.combine((F(-7, 3),)) == (F(-7, 3),)
-        assert MartingaleCoupling(1, ((F(1),),), (F(2, 5),), (F(2, 5),))
+        assert MartingaleCoupling.from_matrix(1, ((F(1),),), (F(2, 5),), (F(2, 5),))
 
     def test_empty_coupling_is_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            MartingaleCoupling(0, (), (), ())
+            MartingaleCoupling.from_matrix(0, (), (), ())

@@ -113,16 +113,33 @@ class TestCertificateJson:
         assert coupling_from_obj(obj["coupling"]) == coupling
 
     def test_non_canonical_joint_is_refused(self):
-        """A written joint is sorted, distinct and of positive masses; the
-        parser refuses any other rather than repair it."""
+        """A written joint is sorted and distinct, its vectors of one length
+        and its masses positive with sum 1; the parser refuses any other
+        rather than repair it, with the message the integer constructor
+        gives for the same atoms."""
         xi, eta = helpers.spread_pair(random.Random(5), 4, 2)
         atoms = _wire(xi, eta)["joint"]["atoms"]
         assert len(atoms) >= 2
-        swapped = [atoms[1], atoms[0], *atoms[2:]]
-        zero_mass = [*atoms, {"v": [str(max(eta.values) + 1)] * len(atoms[0]["v"]), "p": "0"}]
-        for bad in (swapped, zero_mass):
-            with pytest.raises(ValueError):
+        first, second, *rest = atoms
+        m = len(first["v"])
+
+        def extra(p):
+            return {"v": [str(max(eta.values) + 1)] * m, "p": p}
+
+        broken = [
+            ("distinct and sorted", [second, first, *rest]),
+            ("distinct and sorted", [first, first, second, *rest]),
+            ("same length", [first, {"v": second["v"] + ["0"], "p": second["p"]}, *rest]),
+            ("positive", [*atoms, extra("0")]),
+            ("positive", [*atoms, extra("-1/7")]),
+            ("sum to 8/7, not 1", [*atoms, extra("1/7")]),
+        ]
+        for message, bad in broken:
+            with pytest.raises(ValueError, match=message) as fractions_way:
                 joint_from_obj({"atoms": bad})
+            with pytest.raises(ValueError) as integers_way:
+                helpers.joint_from_integers([(a["v"], a["p"]) for a in bad])
+            assert str(integers_way.value) == str(fractions_way.value)
 
     @pytest.mark.parametrize("parse, obj", list(MALFORMED_BUNDLE_PARTS.values()),
                              ids=list(MALFORMED_BUNDLE_PARTS))
