@@ -5,7 +5,7 @@ data:
 
 * a chain of two-coordinate transfer matrices turning one uniform grid
   into a majorized one, multiplied out to a doubly stochastic matrix D
-  with a = D b, held as integer rows over one common denominator L;
+  with a = D b, held as integer blocks over one common denominator L;
 * a Birkhoff peeling of D into a convex combination of at most
   (n-1)^2 + 1 permutation matrices (the permutation-weight certificate
   for diversification dominance);
@@ -17,9 +17,12 @@ data:
 
 The certificate and the coupling are two views of one D, and D exists
 only in that integer form: a single private step runs the checks and
-the transfer product (numerators over one common denominator L), the
-coupling takes a copy of those integers over n * L and the peel then
-consumes them (`certify_bundle` returns both from one product).  The
+the transfer product, which holds D block by block.  A transfer mixes
+two slots, so D is zero outside the components of the transfer chain,
+and each component is one dense k x k block of numerators over the
+common denominator L.  The coupling expands the blocks once into its
+n x n integer view over n * L, the only dense copy of D, and the peel
+reads the blocks (`certify_bundle` returns both from one product).  The
 joint law is built from the numerators of eta's grid.  No witness cell
 becomes a Fraction here: the witness types hold integer views, and they
 and the rules that make them valid are defined in `divcert.dominance`
@@ -28,14 +31,17 @@ and `divcert.dist`; this module only builds them.
 All constructions are deterministic: the transfer chain always picks the
 smallest deficient index and the smallest surplus index after it, and
 the peeling always extracts the lexicographically smallest perfect
-matching of the positive-entry graph.  That graph splits into blocks,
-its connected components (rows and columns linked by positive cells);
-a perfect matching picks one independently in each block, so the
-lex-min matching is the union of the blocks' own lex-min matchings, and
-a peel round re-matches only the blocks whose support it changed.  The
-chain runs on integer numerators in one forward pass: no transfer gives
-a slot a surplus, so the pointer to the smallest surplus slot never
-moves back.
+matching of the positive-entry graph.  That graph splits into support
+blocks, its connected components (rows and columns linked by positive
+cells); a perfect matching picks one independently in each, so the
+lex-min matching is the union of the support blocks' own lex-min
+matchings.  A round lowers a support block's matched cells by at most
+that block's own minimum, so each support block runs exactly the peel
+it would run alone, and the certificate's peel is the merge of those
+block peels at their cumulative-weight breakpoints (`_peel_scaled`).
+The chain runs on integer numerators in one forward pass: no transfer
+gives a slot a surplus, so the pointer to the smallest surplus slot
+never moves back.
 """
 
 from __future__ import annotations
@@ -66,11 +72,13 @@ from .matching import lex_min_perfect_matching
 from .risk import ssd_violation
 
 #: Slot cap of certify_div1, mps_coupling and certify_bundle.  The
-#: transfer rows and the coupling are dense n x n structures: `divcert
-#: certify --out` on xi = eta with n distinct values took 0.7 s and a peak
-#: RSS of 74 MB at n = 1024 (2-core x86-64, CPython 3.11), and its time
-#: grew about 3.4-fold per doubling of n.  A larger pair fails with
-#: GridCapError before anything n x n is allocated.
+#: transfer product is dense only inside its blocks, which one component
+#: of n slots makes n x n, and the coupling is always a dense n x n
+#: structure: `divcert certify --out` on xi = eta with n distinct values
+#: (n blocks of one slot) took 0.6 s and a peak RSS of 78 MB at n = 1024
+#: (2-core x86-64, CPython 3.11), and its time grew about 3.4-fold per
+#: doubling of n.  A larger pair fails with GridCapError before anything
+#: n x n is allocated.
 CERTIFY_SLOT_CAP = 1024
 
 #: Bound on the bits of any row denominator of the transfer product.  The
@@ -180,22 +188,59 @@ def t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     return tuple(transforms)
 
 
-def _scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[list[list[int]], int]:
-    """Integer numerators of L*D for the transfer-chain product D.
+#: The transfer product D as its blocks: one (slots, rows) pair per
+#: component of the transfer chain, with the slots ascending and
+#: rows[r][c] the numerator of D[slots[r]][slots[c]] over the common
+#: denominator L; D is zero outside its blocks.
+Blocks = list[tuple[list[int], list[list[int]]]]
 
-    Rows carry individual denominators while the chain is applied (each
-    transfer touches two rows only) and are brought to the common
+
+def _components(size: int, pairs) -> list[list[int]]:
+    """Connected components of the graph on 0..size-1 with the edges
+    `pairs`, found by union-find: ascending member lists, ordered by
+    their smallest members."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for x, y in pairs:
+        x, y = find(x), find(y)
+        if x != y:
+            parent[y] = x
+    members: dict[int, list[int]] = {}
+    for x in range(size):
+        members.setdefault(find(x), []).append(x)
+    return list(members.values())
+
+
+def _scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[Blocks, int]:
+    """Integer numerators of L*D for the transfer-chain product D, held
+    block by block.
+
+    A transfer (i, j) mixes rows i and j only, so D is zero outside the
+    components of the graph whose edges are the transfer pairs.  Each
+    component is multiplied out as a dense k x k integer block, so a
+    transfer costs O(k), not O(n).  Rows carry individual denominators
+    while the chain is applied and are brought to the one common
     denominator L at the end.  Integer arithmetic keeps the peeling hot
     path free of per-operation gcd normalization.  A row denominator
     above CERTIFY_DENOMINATOR_BITS bits raises GridCapError before the
     transfer that would make it is applied.
     """
     n = a.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    denoms = [1] * n
     chain = t_transform_chain(a, b)
+    blocks: Blocks = []
+    where = [(0, 0)] * n  # slot -> (its block, its index inside the block)
+    for slots in _components(n, ((tr.i, tr.j) for tr in chain)):
+        rows = [[0] * len(slots) for _ in slots]
+        for r, i in enumerate(slots):
+            rows[r][r] = 1
+            where[i] = (len(blocks), r)
+        blocks.append((slots, rows))
+    denoms = [1] * n
     for step, tr in enumerate(chain, start=1):
         p = tr.s.numerator
         q = tr.s.denominator
@@ -210,21 +255,20 @@ def _scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[list[list[int
         ci = lcm_ij // li
         cj = lcm_ij // lj
         qp = q - p
-        ri, rj = rows[tr.i], rows[tr.j]
-        for k in range(n):
-            x = ri[k] * ci
-            y = rj[k] * cj
-            ri[k] = qp * x + p * y
-            rj[k] = p * x + qp * y
+        (block, ri), (_, rj) = where[tr.i], where[tr.j]
+        rows = blocks[block][1]
+        xs = [x * ci for x in rows[ri]]
+        ys = [y * cj for y in rows[rj]]
+        rows[ri] = [qp * x + p * y for x, y in zip(xs, ys)]
+        rows[rj] = [p * x + qp * y for x, y in zip(xs, ys)]
         denoms[tr.i] = denoms[tr.j] = den
     L = math.lcm(*denoms)
-    for i in range(n):
-        m = L // denoms[i]
-        if m != 1:
-            row = rows[i]
-            for k in range(n):
-                row[k] *= m
-    return rows, L
+    for slots, rows in blocks:
+        for r, i in enumerate(slots):
+            m = L // denoms[i]
+            if m != 1:
+                rows[r] = [x * m for x in rows[r]]
+    return blocks, L
 
 
 _NO_MATCHING = (
@@ -236,112 +280,124 @@ def _support_blocks(
     adjacency: list[list[int]],
 ) -> list[tuple[list[int], list[int]]]:
     """Connected components of the bipartite support graph, as (rows,
-    columns) pairs, both ascending, found by union-find on rows 0..n-1
-    and columns n..2n-1.  A column that no row reaches forms no block.
+    columns) pairs, both ascending: the components of the graph on rows
+    0..n-1 and columns n..2n-1.  A column that no row reaches forms no
+    block.
     """
     n = len(adjacency)
-    parent = list(range(2 * n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for i, cols in enumerate(adjacency):
-        root = find(i)
-        for j in cols:
-            other = find(n + j)
-            if other != root:
-                parent[other] = root
-    members: dict[int, tuple[list[int], list[int]]] = {}
-    for x in range(2 * n):
-        rows, cols = members.setdefault(find(x), ([], []))
-        if x < n:
-            rows.append(x)
-        else:
-            cols.append(x - n)
-    return [block for block in members.values() if block[0]]
+    edges = ((i, n + j) for i, cols in enumerate(adjacency) for j in cols)
+    return [
+        ([x for x in members if x < n], [x - n for x in members if x >= n])
+        for members in _components(2 * n, edges)
+        if members[0] < n
+    ]
 
 
-def _peel_scaled(
-    rows: list[list[int]], L: int
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Birkhoff peeling of the integer matrix rows/L, block by block.
-
-    Each round extracts the lexicographically smallest perfect matching
-    of the positive-entry bipartite graph and subtracts the minimum
-    matched entry, zeroing at least one cell.
-
-    The support splits into blocks, the connected components of that
-    graph.  A perfect matching of the whole support is one perfect
-    matching per block, chosen independently, so the lex-min matching is
-    the union of each block's lex-min matching (rows and columns keep
-    their ascending order inside a block).  A block with more rows than
-    columns, or fewer, has no perfect matching at all.  The blocks are
-    found once: a round only lowers matched cells, so later supports are
-    subgraphs of the first and a block can only split, which the block's
-    own search handles.  A round re-matches only the blocks where a cell
-    reached zero; every other block keeps its support, so its matching.
-    Each re-match hands the kernel the block's previous matching (the
-    lex-min matching of a larger support) as its warm-start hint.  Blocks
-    and hints change only the speed: the matching, and so the
-    certificate, is the same as a cold search of the whole support gives.
+def _peel_block(
+    cells: list[list[int]], adjacency: list[list[int]], L: int
+) -> list[tuple[int, list[int]]]:
+    """Birkhoff peeling of one block alone, consuming `cells` and
+    `adjacency`: each round takes the block's lex-min perfect matching,
+    warm-started from the round before, and subtracts its least matched
+    cell.  Returns (t, matching) per round, t the weight peeled so far at
+    the round's end, up to the first t >= L.  Every round zeroes a cell,
+    so the support runs out, and the kernel reports it, if L is never
+    reached.
     """
-    n = len(rows)
-    adjacency = [[j for j, x in enumerate(row) if x] for row in rows]
-    blocks = _support_blocks(adjacency)
-    block_of = [0] * n  # row -> index of its block
-    row_local = [0] * n  # row -> its index inside its block
-    col_local = [0] * n  # column -> its index inside its block
-    local_adjacency = []
-    for b, (block_rows, block_cols) in enumerate(blocks):
-        if len(block_rows) != len(block_cols):
+    rounds = []
+    match = None
+    t = 0
+    while t < L:
+        match = lex_min_perfect_matching(adjacency, previous=match)
+        if match is None:
             raise ValueError(_NO_MATCHING)
-        for k, j in enumerate(block_cols):
-            col_local[j] = k
-        for k, i in enumerate(block_rows):
-            block_of[i] = b
-            row_local[i] = k
-        local_adjacency.append([[col_local[j] for j in adjacency[i]] for i in block_rows])
-
-    perm = [0] * n
-    matchings: list[list[int] | None] = [None] * len(blocks)
-    changed = set(range(len(blocks)))
-    remaining = L
-    terms = []
-    for _ in range(n * n + 1):
-        for b in changed:
-            match = lex_min_perfect_matching(local_adjacency[b], previous=matchings[b])
-            if match is None:
-                raise ValueError(_NO_MATCHING)
-            matchings[b] = match
-            block_rows, block_cols = blocks[b]
-            for i, k in zip(block_rows, match):
-                perm[i] = block_cols[k]
-        weight = min(map(list.__getitem__, rows, perm))
-        terms.append((tuple(perm), Fraction(weight, L)))
-        changed = set()
-        for i, (row, j) in enumerate(zip(rows, perm)):
+        weight = min(map(list.__getitem__, cells, match))
+        for row, cols, j in zip(cells, adjacency, match):
             left = row[j] - weight
             row[j] = left
             if not left:
-                b = block_of[i]
-                local_adjacency[b][row_local[i]].remove(col_local[j])
-                changed.add(b)
-        remaining -= weight
-        if not remaining:
+                cols.remove(j)
+        t += weight
+        rounds.append((t, match))
+    return rounds
+
+
+def _peel_scaled(blocks: Blocks, L: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Birkhoff peeling of D, given by its blocks over L (left untouched).
+
+    The certificate's terms are those of the round-by-round peel of the
+    whole matrix: each round takes the lexicographically smallest perfect
+    matching of the positive-entry bipartite graph and subtracts the
+    minimum matched entry, zeroing at least one cell.  They are computed
+    here as the merge of block peels, byte for byte the same, as follows.
+
+    The support splits into support blocks, the connected components of
+    that graph, found once inside each block of D.  A perfect matching of
+    the whole support is one perfect matching per support block, chosen
+    independently, so the lex-min matching is the union of the support
+    blocks' own lex-min matchings (rows and columns keep their ascending
+    order inside a block).  A support block with more rows than columns,
+    or fewer, has no perfect matching at all.  A round of the whole peel
+    subtracts the least matched cell over all support blocks, so it
+    lowers a support block's matched cells by at most that block's own
+    minimum: the block's support, hence its matching, changes only when
+    its own least cell reaches zero.  So every support block runs exactly
+    the peel it would run alone (`_peel_block`), and its matching changes
+    only at its own breakpoints, the cumulative weights at which a round
+    of its solo peel ends.  Merging them gives the whole peel: each
+    distinct breakpoint t, in ascending order up to L, ends one term, the
+    union of the matchings active on (t_prev, t], of weight
+    (t - t_prev)/L.  Breakpoints that several blocks share give one term.
+    A support block splits further as its cells reach zero, which its own
+    kernel search handles.  Blocks and the kernel's warm-start hint
+    change only the speed: the matching, and so the certificate, is the
+    same as a cold search of the whole support gives.
+    """
+    n = sum(len(slots) for slots, _ in blocks)
+    perm = [0] * n
+    # breakpoint -> (rows, columns, matching) of the support blocks whose
+    # next matching starts there
+    after: dict[int, list[tuple[list[int], list[int], list[int]]]] = {}
+    for slots, cells in blocks:
+        adjacency = [[j for j, x in enumerate(row) if x] for row in cells]
+        for rows, cols in _support_blocks(adjacency):
+            if len(rows) != len(cols):
+                raise ValueError(_NO_MATCHING)
+            local = {j: k for k, j in enumerate(cols)}
+            rounds = _peel_block(
+                [[cells[i][j] for j in cols] for i in rows],
+                [[local[j] for j in adjacency[i]] for i in rows],
+                L,
+            )
+            rows = [slots[i] for i in rows]  # from block indices to slots
+            cols = [slots[j] for j in cols]
+            for i, k in zip(rows, rounds[0][1]):
+                perm[i] = cols[k]
+            for (t, _), (_, match) in zip(rounds, rounds[1:]):
+                after.setdefault(t, []).append((rows, cols, match))
+            after.setdefault(rounds[-1][0], [])
+    terms = []
+    prev = 0
+    for t in sorted(after):
+        terms.append((tuple(perm), Fraction(t - prev, L)))
+        if t == L:
             return terms
-    raise AssertionError("peeling failed to terminate")
+        for rows, cols, match in after[t]:
+            for i, k in zip(rows, match):
+                perm[i] = cols[k]
+        prev = t
+    raise ValueError(_NO_MATCHING)  # no block's peel ends at L
 
 
 def _transfer_product(
     xi: SimpleDist, eta: SimpleDist
-) -> tuple[UniformGrid, UniformGrid, list[list[int]], int]:
+) -> tuple[UniformGrid, UniformGrid, Blocks, int]:
     """The one construction behind the certificate and the coupling.
 
     Checks equal means and second-order dominance, refines both sides to
     the common uniform grids a and b, and multiplies out the transfer
-    chain: returns (a, b, rows, L) with a = D b for D = rows/L.
+    chain: returns (a, b, blocks, L) with a = D b for the D whose blocks
+    over L are `blocks`.
     """
     mean_xi = xi.mean()
     mean_eta = eta.mean()
@@ -351,27 +407,36 @@ def _transfer_product(
     if alpha is not None:
         raise SsdViolatedError(alpha)
     a, b = common_refinement(xi, eta, CERTIFY_SLOT_CAP)
-    rows, L = _scaled_transfer_rows(a, b)
-    return a, b, rows, L
+    blocks, L = _scaled_transfer_rows(a, b)
+    return a, b, blocks, L
 
 
 def _coupling(
-    a: UniformGrid, b: UniformGrid, rows: list[list[int]], L: int
+    a: UniformGrid, b: UniformGrid, blocks: Blocks, L: int
 ) -> MartingaleCoupling:
-    """C = D/n: a copy of the integer rows over n * L (rows left untouched)."""
-    return MartingaleCoupling(a.n, tuple(map(tuple, rows)), a.n * L, a.values, b.values)
+    """C = D/n: the blocks expanded into the n x n integer view over n * L,
+    the only dense copy of D."""
+    n = a.n
+    cells = [()] * n
+    for slots, rows in blocks:
+        for i, row in zip(slots, rows):
+            full = [0] * n
+            for j, x in zip(slots, row):
+                full[j] = x
+            cells[i] = tuple(full)
+    return MartingaleCoupling(n, tuple(cells), n * L, a.values, b.values)
 
 
 def _certificate(
-    a: UniformGrid, b: UniformGrid, rows: list[list[int]], L: int
+    a: UniformGrid, b: UniformGrid, blocks: Blocks, L: int
 ) -> tuple[PermutationCertificate, JointDist]:
-    """Peel D = rows/L (consuming rows) and build the witnessing joint law.
+    """Peel D, given by its blocks, and build the witnessing joint law.
 
     Slot i carries the vector (b[perm_k[i]])_k with probability 1/n, held
     as the numerators of b over one denominator.  The grid b is sorted, so
     those integers order and merge the vectors exactly as the values do.
     """
-    cert = PermutationCertificate(n=a.n, terms=tuple(_peel_scaled(rows, L)))
+    cert = PermutationCertificate(n=a.n, terms=tuple(_peel_scaled(blocks, L)))
     bnums, bden = common_scale(b.values)
     counts = Counter(zip(*([bnums[src] for src in perm] for perm, _ in cert.terms)))
     vectors = sorted(counts)
@@ -388,9 +453,9 @@ def certify_bundle(
     but runs the checks and the transfer product once: the coupling is
     D/n and the certificate is the Birkhoff peel of the same D.
     """
-    a, b, rows, L = _transfer_product(xi, eta)
-    coupling = _coupling(a, b, rows, L)  # before the peel consumes rows
-    cert, joint = _certificate(a, b, rows, L)
+    a, b, blocks, L = _transfer_product(xi, eta)
+    coupling = _coupling(a, b, blocks, L)
+    cert, joint = _certificate(a, b, blocks, L)
     return cert, joint, coupling
 
 

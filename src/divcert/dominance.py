@@ -13,10 +13,12 @@ certificate that passes here is a proof.  The validators and verifiers
 follow one idiom: each vector of Fractions (certificate weights, the
 slot-wise `PermutationCertificate.combine`) is brought to one common
 denominator, sums and comparisons run on the integer numerators, and
-Fractions are made only for a result or an error message.  A joint law
-and a coupling hold that integer view as their state (see
-`divcert.dist`), so their checks, the convex combination of a joint law
-and the mixture of its marginals read integers only.
+Fractions are made only for a result or an error message.  A
+certificate keeps its weights' integer view from its validator for
+`combine`, and a joint law and a coupling hold that integer view as
+their state (see `divcert.dist`), so their checks, the convex
+combination of a joint law and the mixture of its marginals read
+integers only.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ class PermutationCertificate:
 
     `terms` holds (perm, weight) pairs; perm maps slot index to source
     index in the dominated grid (0-based).  Weights are positive and sum
-    to exactly 1, and the term count never exceeds (n-1)^2 + 1.
+    to exactly 1, and the term count never exceeds (n-1)^2 + 1.  The
+    validator keeps the weights' integer view, their numerators over one
+    common denominator, for `combine`.
     """
 
     n: int
@@ -119,6 +123,7 @@ class PermutationCertificate:
         total = sum(nums)
         if total != den:
             raise ValueError(f"term weights sum to {Fraction(total, den)}, not 1")
+        object.__setattr__(self, "_weight_scale", (nums, den))
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -128,7 +133,7 @@ class PermutationCertificate:
         """Slot-wise weighted combination sum_k w_k * values[perm_k[i]]."""
         if len(values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(values)}")
-        wnums, wden = common_scale(self.weights)
+        wnums, wden = self._weight_scale
         vnums, vden = common_scale(values)
         acc = [0] * self.n
         for (perm, _), wn in zip(self.terms, wnums):

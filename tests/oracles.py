@@ -21,8 +21,10 @@ per-cell rendering of a joint law before it printed each cell object once
 (naive_joint_to_obj), are kept the same way, as is the string parser
 that sent every string through Fraction's regex (naive_as_rational).
 So are the transfer chain that rescanned for a surplus from i + 1 on
-Fractions at every step (naive_t_transform_chain) and the majorization
-test that kept two Fraction prefix sums (naive_check_majorization).
+Fractions at every step (naive_t_transform_chain), the majorization
+test that kept two Fraction prefix sums (naive_check_majorization), and
+the transfer product that updated full n-wide rows for every transfer
+before it was held block by block (naive_scaled_transfer_rows).
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from divcert import (
     regrid,
     ssd_violation,
 )
-from divcert.dist import MAX_DECIMAL_EXPONENT
+from divcert import certify
+from divcert.dist import MAX_DECIMAL_EXPONENT, GridCapError
 from divcert.matching import lex_min_perfect_matching
 from divcert.serialize import rational_str
 
@@ -437,6 +440,48 @@ def naive_t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform,
     else:
         raise AssertionError("transfer loop failed to settle all indices")
     return tuple(transforms)
+
+
+def naive_scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[list[list[int]], int]:
+    """The transfer-chain product D as dense n x n integer rows over L:
+    every transfer updates two full rows and every row is rescaled to L
+    at the end.  It takes the chain from `certify.t_transform_chain`,
+    looked up when called, so a test may substitute the transfers."""
+    n = a.n
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    denoms = [1] * n
+    chain = certify.t_transform_chain(a, b)
+    for step, tr in enumerate(chain, start=1):
+        p = tr.s.numerator
+        q = tr.s.denominator
+        li, lj = denoms[tr.i], denoms[tr.j]
+        lcm_ij = li // math.gcd(li, lj) * lj
+        den = q * lcm_ij
+        if den.bit_length() > certify.CERTIFY_DENOMINATOR_BITS:
+            raise GridCapError(
+                f"transfer {step} of {len(chain)} needs a row denominator above "
+                f"CERTIFY_DENOMINATOR_BITS = {certify.CERTIFY_DENOMINATOR_BITS} bits"
+            )
+        ci = lcm_ij // li
+        cj = lcm_ij // lj
+        qp = q - p
+        ri, rj = rows[tr.i], rows[tr.j]
+        for k in range(n):
+            x = ri[k] * ci
+            y = rj[k] * cj
+            ri[k] = qp * x + p * y
+            rj[k] = p * x + qp * y
+        denoms[tr.i] = denoms[tr.j] = den
+    L = math.lcm(*denoms)
+    for i in range(n):
+        m = L // denoms[i]
+        if m != 1:
+            row = rows[i]
+            for k in range(n):
+                row[k] *= m
+    return rows, L
 
 
 def naive_validate_grid(values) -> None:

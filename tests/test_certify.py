@@ -4,7 +4,9 @@ import hashlib
 import random
 import time
 from fractions import Fraction as F
+from itertools import accumulate, chain
 from operator import sub
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +50,12 @@ COIN13 = SimpleDist.from_pairs([(1, HALF), (3, HALF)])
 
 def grid(*values):
     return UniformGrid.from_values([F(v) for v in values])
+
+
+def peel(rows, L):
+    """The Birkhoff peel of the dense integer matrix rows/L, handed to the
+    peel as one block that covers every slot."""
+    return _peel_scaled([(list(range(len(rows))), rows)], L)
 
 
 @st.composite
@@ -168,14 +176,14 @@ class TestBuildDoublyStochastic:
 class TestBirkhoff:
     def test_permutation_matrix_is_itself(self):
         rows = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-        assert _peel_scaled(rows, 1) == [((1, 2, 0), F(1))]
+        assert peel(rows, 1) == [((1, 2, 0), F(1))]
 
     def test_two_by_two_split(self):
-        assert _peel_scaled([[1, 1], [1, 1]], 2) == [((0, 1), HALF), ((1, 0), HALF)]
+        assert peel([[1, 1], [1, 1]], 2) == [((0, 1), HALF), ((1, 0), HALF)]
 
     def test_flat_three_by_three_peels_cycles(self):
         third = F(1, 3)
-        terms = _peel_scaled([[1] * 3 for _ in range(3)], 3)
+        terms = peel([[1] * 3 for _ in range(3)], 3)
         assert terms == [
             ((0, 1, 2), third),
             ((1, 2, 0), third),
@@ -224,7 +232,7 @@ class TestBirkhoff:
         # rows that are not doubly stochastic reach the peel's own guard
         rows = [[2, 0], [0, 1]]
         with pytest.raises(ValueError):
-            _peel_scaled(rows, 2)
+            peel(rows, 2)
 
     @pytest.mark.parametrize(
         "rows", [[[1, 1], [0, 0]], [[1, 0], [1, 0]], [[0, 0, 0], [0, 1, 1], [0, 1, 1]]]
@@ -233,7 +241,7 @@ class TestBirkhoff:
         # a block with more columns than rows, or more rows than columns,
         # has no perfect matching: the same ValueError, not an IndexError
         with pytest.raises(ValueError, match="no perfect matching"):
-            _peel_scaled(rows, 2)
+            peel(rows, 2)
 
     def test_interleaved_blocks_rematch_only_what_changed(self, monkeypatch):
         # rows 0 and 2 use columns 1 and 3; rows 1 and 3 use columns 0 and 2
@@ -250,19 +258,144 @@ class TestBirkhoff:
         expected = [((1, 0, 3, 2), third), ((3, 0, 1, 2), third), ((3, 2, 1, 0), third)]
         assert oracles.naive_peel([row[:] for row in rows], 3) == expected
         calls.clear()
-        assert _peel_scaled(rows, 3) == expected
-        # both blocks in the first round, then only the block that lost a cell
+        assert peel(rows, 3) == expected
+        # each block's kernel runs once per round of its own peel, two each
         assert calls == [2, 2, 2, 2]
 
     @given(block_stochastic_rows())
     @example(([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1))  # three 1 x 1 blocks
     @example(([[2, 1, 1], [1, 2, 1], [1, 1, 2]], 4))  # one full block
     @example(([[0, 1, 0, 2], [2, 0, 1, 0], [0, 2, 0, 1], [1, 0, 2, 0]], 3))  # interleaved
+    # two blocks reach zero in the same rounds: the tied breakpoints 1 and 2
+    # give one term each, two terms in all
+    @example(([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], 2))
+    # one block of D holding three support blocks, 1 x 1, 2 x 2 and 1 x 1,
+    # that end together at L
+    @example(([[0, 3, 0, 0], [0, 0, 1, 2], [3, 0, 0, 0], [0, 0, 2, 1]], 3))
     @settings(max_examples=200, deadline=None)
     def test_block_peel_equals_the_whole_support_peel(self, case):
         rows, L = case
         expected = oracles.naive_peel([row[:] for row in rows], L)
-        assert _peel_scaled(rows, L) == expected
+        assert peel(rows, L) == expected
+
+
+@st.composite
+def transfer_chains(draw, max_n=8):
+    """(n, transfers): up to 2n transfers (i, j, s) on n slots, s = 1, a
+    pure swap, among the shares.  They need not come from a pair of
+    grids; the tests hand them to the product in place of the chain."""
+    n = draw(st.integers(1, max_n))
+    transfers = []
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        i = draw(st.integers(0, n - 2))
+        j = draw(st.integers(i + 1, n - 1))
+        s = draw(st.sampled_from([F(1, 4), F(1, 3), HALF, F(2, 3), F(3, 4), F(1)]))
+        transfers.append(TTransform(i, j, s))
+    return n, tuple(transfers)
+
+
+def expand(blocks, n):
+    """The dense n x n rows of the matrix held as `blocks`."""
+    rows = [[0] * n for _ in range(n)]
+    for slots, block in blocks:
+        for i, row in zip(slots, block):
+            for j, x in zip(slots, row):
+                rows[i][j] = x
+    return rows
+
+
+def separated_spread_pair(rng, atoms=8, doublings=3):
+    """xi uniform on 0, 100, 200, ...; eta splits every slot `doublings`
+    times at +/- an odd number of eighths below 1.  The spreads of two
+    atoms never overlap, and an odd count of odd eighths never sums to
+    0, so no slot of eta keeps its atom's value."""
+    xs = [F(100 * k) for k in range(atoms)]
+    es = list(xs)
+    for _ in range(doublings):
+        shares = [F(rng.randrange(1, 8, 2), 8) for _ in es]
+        es = [v + sign * s for v, s in zip(es, shares) for sign in (-1, 1)]
+    return UniformGrid.from_values(xs).to_dist(), UniformGrid.from_values(es).to_dist()
+
+
+def support_components(rows):
+    """(rows, columns) of each connected component of the positive cells
+    of a square matrix, by a flood fill from each row not yet reached."""
+    n = len(rows)
+    reached = set()
+    components = []
+    for start in range(n):
+        if start in reached:
+            continue
+        comp_rows, comp_cols, todo = {start}, set(), [start]
+        while todo:
+            i = todo.pop()
+            for j in range(n):
+                if rows[i][j] and j not in comp_cols:
+                    comp_cols.add(j)
+                    fresh = {k for k in range(n) if rows[k][j]} - comp_rows
+                    comp_rows |= fresh
+                    todo.extend(fresh)
+        reached |= comp_rows
+        components.append((sorted(comp_rows), sorted(comp_cols)))
+    return components
+
+
+class TestBlockProduct:
+    """The transfer product, held as its blocks, against the dense product
+    that updated full rows (oracles.naive_scaled_transfer_rows)."""
+
+    @given(transfer_chains())
+    @example((1, ()))  # n = 1
+    @example((4, (TTransform(0, 2, HALF), TTransform(1, 3, F(1, 3)))))  # interleaved blocks
+    # two swaps: one block {0, 2, 3} of D, holding three support blocks
+    @example((4, (TTransform(0, 2, F(1)), TTransform(2, 3, F(1)))))
+    @settings(max_examples=200, deadline=None)
+    def test_block_product_equals_the_dense_product(self, case):
+        n, transfers = case
+        grid_n = UniformGrid((F(0),) * n)  # the substituted chain ignores the grids
+        with mock.patch.object(certify, "t_transform_chain", lambda a, b: transfers):
+            blocks, L = certify._scaled_transfer_rows(grid_n, grid_n)
+            rows, dense_L = oracles.naive_scaled_transfer_rows(grid_n, grid_n)
+        assert sorted(i for slots, _ in blocks for i in slots) == list(range(n))
+        for slots, block in blocks:
+            assert [len(row) for row in block] == [len(slots)] * len(slots)
+        assert (expand(blocks, n), L) == (rows, dense_L)
+        assert _peel_scaled(blocks, L) == oracles.naive_peel(rows, L)
+
+    def test_spread_pairs(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            a, b = common_refinement(*helpers.mps_pair(rng))
+            blocks, L = certify._scaled_transfer_rows(a, b)
+            assert (expand(blocks, a.n), L) == oracles.naive_scaled_transfer_rows(a, b)
+
+    def test_work_stays_inside_the_blocks(self, monkeypatch):
+        # The product multiplies eight 8 x 8 blocks, never a 64-wide row,
+        # and the peel calls the kernel once per round of a support
+        # block's own peel: once per block breakpoint.
+        a, b = common_refinement(*separated_spread_pair(random.Random(1)))
+        assert a.n == 64
+        blocks, L = certify._scaled_transfer_rows(a, b)
+        assert [slots for slots, _ in blocks] == [list(range(k, k + 8)) for k in range(0, 64, 8)]
+        assert all(len(block) == 8 and {len(row) for row in block} == {8} for _, block in blocks)
+        dense = expand(blocks, 64)
+        solo = [
+            oracles.naive_peel([[dense[i][j] for j in cols] for i in rows], L)
+            for rows, cols in support_components(dense)
+        ]
+        breakpoints = [list(accumulate(w * L for _, w in terms)) for terms in solo]
+        calls = []
+
+        def counted(adjacency, **kwargs):
+            calls.append(len(adjacency))
+            return kernel(adjacency, **kwargs)
+
+        kernel = certify.lex_min_perfect_matching
+        monkeypatch.setattr(certify, "lex_min_perfect_matching", counted)
+        terms = _peel_scaled(blocks, L)
+        assert len(calls) == sum(map(len, breakpoints)) < len(blocks) * len(terms)
+        assert len(terms) == len(set(chain.from_iterable(breakpoints)))
+        assert terms == oracles.naive_peel(dense, L)
 
 
 class TestCertifyDiv1:
