@@ -19,8 +19,17 @@ both the least.  certify builds it from integers and the parser from
 Fractions, scaled once; one validator checks the integers either way.
 Both sides of the diversification definition, the law of sum_i w_i X_i
 and the mixture of the marginals, are folds over that view and a weight
-vector (`JointDist._on_scale`): the weights are validated once, and no
-cell is read as a Fraction.
+vector (`JointDist._on_scale`): the weights are validated and scaled
+once, and no cell is read as a Fraction.  The folds run over runs of
+equal adjacent cells (`_runs`): each atom's vector is cut into its runs
+once, a run's weight is a difference of the weights' prefix sums, and
+both folds then cost per run, not per cell.  A certificate's joint law
+is almost constant along its terms: on the n = 64 pairs of the certify
+benchmark, a vector of about 180 cells holds about 8.3 runs.  A vector
+with no two neighbours equal is the worst case, every cell a run of its
+own, where the cut is pure overhead: on a 2-core x86-64 with CPython
+3.11, such a 62 x 183 joint checks in 5.1 ms where the per-cell folds
+took 2.9 ms.
 
 `as_rational` keeps no memo of the strings it has parsed, though a parsed
 bundle repeats a few values thousands of times: in a prototype, a
@@ -40,8 +49,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from operator import attrgetter, gt, mul
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import attrgetter, gt, mul, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 #: Default slot cap of expand_to_uniform_grid and common_refinement, and so
@@ -147,12 +156,21 @@ def _least_scale(rows: Sequence[Sequence[int]], den: int) -> tuple[Sequence[Sequ
     return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
+class _Weights(tuple):
+    """The Fractions of a validated weight vector, keeping the integer view
+    its check computed as `scale`: self[i] == nums[i] / den.  A zero weight
+    has denominator 1, so that scale serves every fold over the vector,
+    with or without its zero entries."""
+
+    scale: tuple[list[int], int]
+
+
 def simplex_weights(weights: Sequence, size: int | None = None) -> tuple[Fraction, ...]:
     """Validate and convert a weight vector: entries >= 0, exact sum 1."""
-    ws = tuple(as_rational(w) for w in weights)
+    ws = _Weights(map(as_rational, weights))
     if size is not None and len(ws) != size:
         raise ValueError(f"expected {size} weights, got {len(ws)}")
-    nums, den = common_scale(ws)
+    nums, den = ws.scale = common_scale(ws)
     if any(x < 0 for x in nums):
         raise ValueError("weights must be non-negative")
     if sum(nums) != den:
@@ -400,10 +418,8 @@ def mixture(ds: Sequence[SimpleDist], weights: Sequence) -> SimpleDist:
 
     Zero-weight components drop out entirely.
     """
-    ws = simplex_weights(weights, len(ds))
-    live = [(d, w) for d, w in zip(ds, ws) if w]
-    wnums, wden = common_scale([w for _, w in live])
-    atoms = [(atom, wn) for (d, _), wn in zip(live, wnums) for atom in d.atoms]
+    wnums, wden = simplex_weights(weights, len(ds)).scale
+    atoms = [(atom, wn) for d, wn in zip(ds, wnums) if wn for atom in d.atoms]
     vnums, vden = common_scale([v for (v, _), _ in atoms])
     pnums, pden = common_scale([p for (_, p), _ in atoms])
     mass: dict[int, int] = {}
@@ -515,50 +531,65 @@ class JointDist:
         return self._on_scale(weights).mixture()
 
     def _on_scale(self, weights: Sequence) -> "_ScaledJoint":
-        """Validate `weights`, bring them to one integer scale and restrict
-        the held integer view to the coordinates of positive weight; no
-        cell is rescaled."""
-        ws = simplex_weights(weights, self.m)
-        live = [i for i, w in enumerate(ws) if w]
-        wnums, wden = common_scale([ws[i] for i in live])
+        """Validate `weights` and cut each atom's vector, restricted to the
+        coordinates of positive weight, into its runs of equal adjacent
+        cells (`_runs`), on the one integer scale of the check; no cell is
+        rescaled."""
+        wnums, wden = simplex_weights(weights, self.m).scale
         rows = self.rows
-        if len(live) < len(ws):
+        if 0 in wnums:
+            live = [i for i, wn in enumerate(wnums) if wn]
+            wnums = list(map(wnums.__getitem__, live))
             rows = [list(map(row.__getitem__, live)) for row in rows]
-        return _ScaledJoint(rows, self.vden, wnums, wden, self.masses, self.pden)
+        cum = list(accumulate(wnums, initial=0))
+        runs = [_runs(row, cum) for row in rows]
+        return _ScaledJoint(runs, self.vden, wden, self.masses, self.pden)
+
+
+def _runs(cells: Sequence[int], cum: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The runs of equal adjacent entries of `cells`: the value of each run
+    and its weight cum[end] - cum[start], where cum holds the prefix sums
+    of the cells' weights (cum[0] == 0, one more entry than `cells`).  The
+    run starts are found in one C-level pass; the rest is per run."""
+    m = len(cells)
+    starts = [0, *compress(range(1, m), map(ne, cells, cells[1:]))]
+    bounds = list(map(cum.__getitem__, starts))
+    bounds.append(cum[m])
+    return list(map(cells.__getitem__, starts)), list(map(sub, bounds[1:], bounds))
 
 
 class _ScaledJoint(NamedTuple):
-    """A joint law restricted to the coordinates of positive weight, on
-    integer scales: cell j of atom a is rows[a][j] / vden, its coordinate's
-    weight is wnums[j] / wden and the atom's probability pnums[a] / pden.
-    Both sides of the diversification definition are folds over it."""
+    """A joint law on integer scales, its atoms cut into runs: atom a is
+    runs[a] = (values, weights), one entry per run of equal adjacent cells
+    of positive weight, the run's value values[r] / vden and its summed
+    weight weights[r] / wden; the atom's probability is pnums[a] / pden.
+    Both sides of the diversification definition are folds over the runs,
+    so they cost per run, not per cell."""
 
-    rows: Sequence[Sequence[int]]
+    runs: list[tuple[list[int], list[int]]]
     vden: int
-    wnums: list[int]
     wden: int
     pnums: Sequence[int]
     pden: int
 
     def convex_combination(self) -> SimpleDist:
-        """Law of sum_i w_i X_i: one integer dot product per atom."""
-        wnums = self.wnums
+        """Law of sum_i w_i X_i: one integer dot product per atom, over its
+        runs' values and weights."""
         mass: dict[int, int] = {}
-        for row, pn in zip(self.rows, self.pnums):
-            s = sum(map(mul, wnums, row))
+        for (values, weights), pn in zip(self.runs, self.pnums):
+            s = sum(map(mul, values, weights))
             mass[s] = mass.get(s, 0) + pn
         return _dist_on_scale(mass, self.wden * self.vden, self.pden)
 
     def mixture(self) -> SimpleDist:
-        """Law of X_K for K ~ weights: cell i of an atom of probability p
-        adds w_i * p at its value.  Atoms of equal probability share one sum
-        of weights per value, multiplied by p once."""
-        wnums = self.wnums
+        """Law of X_K for K ~ weights: each run of an atom of probability p
+        adds its weight times p at its value.  Atoms of equal probability
+        share one sum of weights per value, multiplied by p once."""
         by_prob: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
-        for row, pn in zip(self.rows, self.pnums):
+        for (values, weights), pn in zip(self.runs, self.pnums):
             weight_at = by_prob[pn]
-            for k, wn in zip(row, wnums):
-                weight_at[k] += wn
+            for k, w in zip(values, weights):
+                weight_at[k] += w
         mass: defaultdict[int, int] = defaultdict(int)
         for pn, weight_at in by_prob.items():
             for k, wsum in weight_at.items():

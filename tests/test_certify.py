@@ -5,13 +5,15 @@ import random
 import time
 from fractions import Fraction as F
 from itertools import accumulate, chain
-from operator import sub
+from operator import ne, sub
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import divcert.dist
+import divcert.dominance
 import helpers
 import oracles
 from divcert import (
@@ -396,6 +398,55 @@ class TestBlockProduct:
         assert len(calls) == sum(map(len, breakpoints)) < len(blocks) * len(terms)
         assert len(terms) == len(set(chain.from_iterable(breakpoints)))
         assert terms == oracles.naive_peel(dense, L)
+
+
+def run_count(cells) -> int:
+    """The number of runs of equal adjacent entries of `cells`."""
+    return 1 + sum(map(ne, cells, cells[1:]))
+
+
+class TestSelfCheck:
+    def test_checks_fold_once_per_run(self, monkeypatch):
+        # Both verifiers cut each slot's column of sources, or each joint
+        # atom's vector, into runs of equal adjacent cells once; combine and
+        # the convex combination then multiply once per run, not once per
+        # cell, and the mixture reads the same runs.
+        xi, eta = separated_spread_pair(random.Random(1))
+        cert, joint = certify_div1(xi, eta)
+        n, m = cert.n, len(cert.terms)
+        column_runs = sum(map(run_count, zip(*(perm for perm, _ in cert.terms))))
+        joint_runs = sum(map(run_count, joint.rows))
+        assert (n, m, column_runs, joint_runs) == (64, 222, 692, 643)
+        assert joint_runs <= column_runs < n * m // 20
+
+        runs = divcert.dist._runs
+        made, products = [], []
+
+        def counted_runs(cells, cum):
+            out = runs(cells, cum)
+            made.append(len(out[0]))
+            return out
+
+        def counted_mul(x, y):
+            products.append(1)
+            return x * y
+
+        monkeypatch.setattr(divcert.dominance, "_runs", counted_runs)
+        monkeypatch.setattr(divcert.dominance, "mul", counted_mul)
+        assert verify_div1_certificate(xi, eta, cert)
+        assert (len(made), sum(made), len(products)) == (n, column_runs, column_runs)
+
+        made.clear()
+        monkeypatch.setattr(divcert.dist, "_runs", counted_runs)
+        assert verify_div2_instance(xi, eta, joint, cert.weights)
+        assert (len(made), sum(made)) == (len(joint.rows), joint_runs)
+
+        scaled = joint._on_scale(cert.weights)
+        products.clear()
+        monkeypatch.setattr(divcert.dist, "mul", counted_mul)
+        monkeypatch.setattr(divcert.dist, "_dist_on_scale", lambda mass, vden, pden: mass)
+        scaled.convex_combination()
+        assert len(products) == joint_runs
 
 
 class TestCertifyDiv1:

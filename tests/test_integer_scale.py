@@ -18,9 +18,16 @@ law and for a coupling, both ways in must give equal objects.
 The transfer chain and the majorization test run on integer numerators
 too, the chain in one forward pass; on drawn grids they must return the
 transfers, the violation witness and the check of the Fraction loops.
+
+The verifiers fold over runs of equal adjacent cells: of each atom's
+vector in a joint law, and of each slot's column of permutation sources
+in a certificate.  Run-heavy witnesses, built from a few values repeated
+in runs, and run-free ones, with no two neighbours equal, must give what
+the per-cell loops give.
 """
 
 from fractions import Fraction as F
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -45,8 +52,10 @@ from divcert import (
     mixture,
     simplex_weights,
     t_transform_chain,
+    verify_div1_certificate,
     verify_div2_instance,
 )
+from divcert.dist import _runs
 from divcert.serialize import joint_from_obj, joint_to_obj
 
 #: value denominators are 2^a 3^b; weight denominators come from the drawn
@@ -279,6 +288,64 @@ def grid_pairs(draw, max_n=16):
     return UniformGrid(tuple(sorted(a))), UniformGrid(tuple(b))
 
 
+@st.composite
+def run_cells(draw, pool, m):
+    """m cells from `pool`, either a few of its values repeated in runs of
+    drawn lengths or no two neighbours equal (every run one cell, when the
+    pool holds two values or more)."""
+    if draw(st.booleans()):
+        cells = []
+        while len(cells) < m:
+            cells += [draw(st.sampled_from(pool))] * draw(st.integers(1, m))
+        return tuple(cells[:m])
+    cells = [draw(st.sampled_from(pool))]
+    while len(cells) < m:
+        cells.append(draw(st.sampled_from([v for v in pool if v != cells[-1]] or pool)))
+    return tuple(cells)
+
+
+@st.composite
+def run_joints(draw, max_m=40, max_atoms=6):
+    """Joint laws of up to `max_m` coordinates whose vectors are
+    `run_cells`, built either way in."""
+    m = draw(st.integers(1, max_m))
+    pool = list(dict.fromkeys(draw(st.lists(values, min_size=1, max_size=4))))
+    k = draw(st.integers(1, max_atoms))
+    merged = {}
+    for vec, p in zip(
+        draw(st.lists(run_cells(pool, m), min_size=k, max_size=k)),
+        draw(simplex(k, allow_zero=False)),
+    ):
+        merged[vec] = merged.get(vec, 0) + p
+    atoms = tuple(sorted(merged.items()))
+    if draw(st.booleans()):
+        return JointDist.from_atoms(atoms)
+    return helpers.joint_from_integers(atoms, draw(st.integers(1, 6)))
+
+
+@st.composite
+def run_certificates(draw, max_n=8, max_terms=40):
+    """Certificates whose slot columns (perm_k[i])_k hold long runs: each
+    term's permutation is the one before it with a few slots swapped, or
+    none.  Otherwise every term rotates the one before it, so no two
+    neighbours in a column are equal."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, min(max_terms, (n - 1) ** 2 + 1)))
+    perm = list(draw(st.permutations(range(n))))
+    rotate = draw(st.booleans())
+    perms = []
+    for _ in range(k):
+        perms.append(tuple(perm))
+        if rotate:
+            perm = perm[1:] + perm[:1]
+        else:
+            for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+                i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+                perm[i], perm[j] = perm[j], perm[i]
+    ws = draw(simplex(k, allow_zero=False))
+    return PermutationCertificate(n=n, terms=tuple(zip(perms, ws)))
+
+
 def chain_outcome(fn, a, b):
     """The transfers fn(a, b) returns, or the witness of its MajorizationError."""
     try:
@@ -303,19 +370,20 @@ class TestSums:
         ws = data.draw(simplex(len(ds)))
         assert mixture(ds, ws) == oracles.naive_mixture(ds, ws)
 
-    @given(joints(), st.data())
-    @settings(max_examples=200)
+    @given(st.one_of(joints(), run_joints()), st.data())
+    @settings(max_examples=200, deadline=None)
     def test_convex_combination(self, j, data):
         ws = data.draw(simplex(j.m))
         assert convex_combination(j, ws) == oracles.naive_convex_combination(j, ws)
 
-    @given(joints(), st.data())
-    @settings(max_examples=200)
+    @given(st.one_of(joints(), run_joints()), st.data())
+    @settings(max_examples=200, deadline=None)
     def test_mixture_of_marginals(self, j, data):
         ws = data.draw(simplex(j.m))
         assert j.mixture_of_marginals(ws) == oracles.naive_mixture_of_marginals(j, ws)
 
-    @given(certificates(), st.data())
+    @given(st.one_of(certificates(), run_certificates()), st.data())
+    @settings(max_examples=200, deadline=None)
     def test_combine(self, cert, data):
         vs = tuple(data.draw(st.lists(values, min_size=cert.n, max_size=cert.n)))
         assert cert.combine(vs) == oracles.naive_combine(cert.terms, vs)
@@ -359,7 +427,8 @@ class TestValidators:
 
 
 class TestIntegerView:
-    @given(joints(), st.data())
+    @given(st.one_of(joints(), run_joints()), st.data())
+    @settings(deadline=None)
     def test_verify_div2_accepts_exactly_the_two_laws(self, j, data):
         ws = data.draw(simplex(j.m))
         law = oracles.naive_convex_combination(j, ws)
@@ -417,6 +486,30 @@ class TestIntegerView:
         obj = joint_to_obj(j)
         assert obj == oracles.naive_joint_to_obj(j)
         assert joint_from_obj(obj) == j
+
+
+class TestRunFolds:
+    @given(st.data())
+    def test_runs(self, data):
+        m = data.draw(st.integers(1, 40))
+        pool = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+        cells = data.draw(run_cells(pool, m))
+        weights = data.draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+        groups = [(v, [w for _, w in g]) for v, g in groupby(zip(cells, weights), lambda c: c[0])]
+        assert _runs(cells, list(accumulate(weights, initial=0))) == (
+            [v for v, _ in groups], [sum(ws) for _, ws in groups]
+        )
+
+    @given(st.one_of(certificates(), run_certificates()), st.data())
+    @settings(deadline=None)
+    def test_verify_div1_accepts_exactly_the_combined_law(self, cert, data):
+        grid = UniformGrid.from_values(data.draw(st.lists(values, min_size=cert.n, max_size=cert.n)))
+        slots = oracles.naive_combine(cert.terms, grid.values)
+        xi = SimpleDist.from_pairs((v, F(1, cert.n)) for v in slots)
+        eta = grid.to_dist()
+        assert verify_div1_certificate(xi, eta, cert)
+        other = data.draw(dists())
+        assert verify_div1_certificate(other, eta, cert) == (other == xi)
 
 
 class TestSlackConstructions:

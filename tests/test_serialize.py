@@ -254,6 +254,77 @@ class TestTamperRoundTrip:
         assert tampered >= 8
 
 
+def _inner_runs(cells, min_len):
+    """(start, end) of each run of at least `min_len` equal adjacent
+    entries of `cells`, end exclusive."""
+    out, start = [], 0
+    for i in range(1, len(cells) + 1):
+        if i == len(cells) or cells[i] != cells[start]:
+            if i - start >= min_len:
+                out.append((start, i))
+            start = i
+    return out
+
+
+class TestTamperAtRunBoundaries:
+    """The verifiers fold over runs of equal adjacent cells, so a change
+    strictly inside a run, at its first cell or at its last must fail a
+    bundle as surely as any other change."""
+
+    PAIRS = [helpers.spread_pair(random.Random(seed), 4, 2) for seed in range(12)]
+
+    @pytest.mark.parametrize("where", ["inside", "first", "last"])
+    def test_changed_joint_cell(self, where):
+        tampered = 0
+        for xi, eta in self.PAIRS:
+            obj = _wire(xi, eta)
+            atoms = obj["joint"]["atoms"]
+            found = [(a, run) for a, atom in enumerate(atoms) for run in _inner_runs(atom["v"], 3)]
+            if not found:
+                continue
+            a, (start, end) = found[len(found) // 2]
+            cell = {"inside": start + 1, "first": start, "last": end - 1}[where]
+            # no atom of eta sits there, and every weight is positive; the
+            # atoms are put back in order, so the parser accepts the joint
+            # and the folds must refuse it
+            atoms[a]["v"][cell] = str(max(eta.values) + 1)
+            atoms.sort(key=lambda atom: [F(x) for x in atom["v"]])
+            assert not _verdict(xi, eta, obj)
+            tampered += 1
+        assert tampered >= 10
+
+    def test_swapped_slots_inside_a_run(self):
+        """Swap perm_k[i] and perm_k[j] for a term k that sits strictly
+        inside a run of both columns i and j: each column's run splits
+        in three."""
+        tampered = 0
+        for xi, eta in self.PAIRS:
+            obj = _wire(xi, eta)
+            terms = TestTamperRoundTrip._terms(obj)
+            # inside[i]: the terms strictly inside a run of column i
+            inside = [
+                {k for start, end in _inner_runs(column, 3) for k in range(start + 1, end - 1)}
+                for column in zip(*(perm for perm, _ in terms))
+            ]
+            candidates = [
+                (k, i, j)
+                for i, j in itertools.combinations(range(len(inside)), 2)
+                for k in inside[i] & inside[j]
+            ]
+            for k, i, j in sorted(candidates):
+                perm, w = terms[k]
+                swapped = list(perm)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                if not _reconstructs(xi, eta, terms[:k] + [(tuple(swapped), w)] + terms[k + 1:]):
+                    break
+            else:
+                continue
+            obj["certificate"]["terms"][k]["perm"] = swapped
+            assert not _verdict(xi, eta, obj)
+            tampered += 1
+        assert tampered >= 10
+
+
 #: strings with the characters JSON must escape, and non-ASCII text
 texts = st.text(
     st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028'), st.characters()), max_size=8
