@@ -31,14 +31,13 @@ and `divcert.dist`; this module only builds them.
 All constructions are deterministic: the transfer chain always picks the
 smallest deficient index and the smallest surplus index after it, and
 the peeling always extracts the lexicographically smallest perfect
-matching of the positive-entry graph.  That graph splits into support
-blocks, its connected components (rows and columns linked by positive
-cells); a perfect matching picks one independently in each, so the
-lex-min matching is the union of the support blocks' own lex-min
-matchings.  A round lowers a support block's matched cells by at most
-that block's own minimum, so each support block runs exactly the peel
-it would run alone, and the certificate's peel is the merge of those
-block peels at their cumulative-weight breakpoints (`_peel_scaled`).
+matching of the positive-entry graph.  D is zero outside its blocks, so
+a perfect matching picks one independently in each block, and the
+lex-min matching is the union of the blocks' own lex-min matchings.  A
+round lowers a block's matched cells by at most that block's own
+minimum, so each block of D runs exactly the peel it would run alone,
+and the certificate's peel is the merge of those block peels at their
+cumulative-weight breakpoints (`_peel_scaled`).
 The chain runs on integer numerators in one forward pass: no transfer
 gives a slot a surplus, so the pointer to the smallest surplus slot
 never moves back.
@@ -165,6 +164,13 @@ def t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     denominator, in one forward pass: a step lowers c[j] to no less than
     a[j] and raises c[i] to no more than a[i], so no index ever gains a
     surplus and the surplus pointer j never moves back.
+
+    Every share s = t / (c[j] - c[i]) lies strictly between 0 and 1: t > 0
+    and c[j] > a[j] >= a[i] > c[i].  If s = 1, then either a[i] = c[j] >
+    a[j] >= a[i], or a[j] = c[i] < a[i] <= a[j]; both are contradictions.
+    So a transfer gives both rows of the product the union of their
+    supports, supports only grow, and the support of each block of D is
+    connected.
     """
     maj = check_majorization(a, b)
     if not maj:
@@ -276,23 +282,6 @@ _NO_MATCHING = (
 )
 
 
-def _support_blocks(
-    adjacency: list[list[int]],
-) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the bipartite support graph, as (rows,
-    columns) pairs, both ascending: the components of the graph on rows
-    0..n-1 and columns n..2n-1.  A column that no row reaches forms no
-    block.
-    """
-    n = len(adjacency)
-    edges = ((i, n + j) for i, cols in enumerate(adjacency) for j in cols)
-    return [
-        ([x for x in members if x < n], [x - n for x in members if x >= n])
-        for members in _components(2 * n, edges)
-        if members[0] < n
-    ]
-
-
 def _peel_block(
     cells: list[list[int]], adjacency: list[list[int]], L: int
 ) -> list[tuple[int, list[int]]]:
@@ -331,60 +320,53 @@ def _peel_scaled(blocks: Blocks, L: int) -> list[tuple[tuple[int, ...], Fraction
     minimum matched entry, zeroing at least one cell.  They are computed
     here as the merge of block peels, byte for byte the same, as follows.
 
-    The support splits into support blocks, the connected components of
-    that graph, found once inside each block of D.  A perfect matching of
-    the whole support is one perfect matching per support block, chosen
-    independently, so the lex-min matching is the union of the support
-    blocks' own lex-min matchings (rows and columns keep their ascending
-    order inside a block).  A support block with more rows than columns,
-    or fewer, has no perfect matching at all.  A round of the whole peel
-    subtracts the least matched cell over all support blocks, so it
-    lowers a support block's matched cells by at most that block's own
-    minimum: the block's support, hence its matching, changes only when
-    its own least cell reaches zero.  So every support block runs exactly
-    the peel it would run alone (`_peel_block`), and its matching changes
+    D is zero outside its blocks, and a block holds the same slots as its
+    rows and its columns.  A perfect matching of the whole support is one
+    perfect matching per block of D, chosen independently, so the lex-min
+    matching is the union of the blocks' own lex-min matchings (slots
+    keep their ascending order inside a block).  A round of the whole
+    peel subtracts the least matched cell over all blocks, so it lowers a
+    block's matched cells by at most that block's own minimum: the
+    block's support, hence its matching, changes only when its own least
+    cell reaches zero.  So every block runs exactly the peel it would run
+    alone (`_peel_block`, on a copy of its rows), and its matching changes
     only at its own breakpoints, the cumulative weights at which a round
     of its solo peel ends.  Merging them gives the whole peel: each
     distinct breakpoint t, in ascending order up to L, ends one term, the
     union of the matchings active on (t_prev, t], of weight
     (t - t_prev)/L.  Breakpoints that several blocks share give one term.
-    A support block splits further as its cells reach zero, which its own
-    kernel search handles.  Blocks and the kernel's warm-start hint
-    change only the speed: the matching, and so the certificate, is the
-    same as a cold search of the whole support gives.
+    A block whose support falls apart as its cells reach zero needs
+    nothing more: its kernel search matches every part at once.  A block
+    with no perfect matching fails in that search.  Blocks and the
+    kernel's warm-start hint change only the speed: the matching, and so
+    the certificate, is the same as a cold search of the whole support
+    gives.
     """
     n = sum(len(slots) for slots, _ in blocks)
     perm = [0] * n
-    # breakpoint -> (rows, columns, matching) of the support blocks whose
-    # next matching starts there
-    after: dict[int, list[tuple[list[int], list[int], list[int]]]] = {}
+    # breakpoint -> (slots, matching) of the blocks whose next matching
+    # starts there
+    after: dict[int, list[tuple[list[int], list[int]]]] = {}
     for slots, cells in blocks:
-        adjacency = [[j for j, x in enumerate(row) if x] for row in cells]
-        for rows, cols in _support_blocks(adjacency):
-            if len(rows) != len(cols):
-                raise ValueError(_NO_MATCHING)
-            local = {j: k for k, j in enumerate(cols)}
-            rounds = _peel_block(
-                [[cells[i][j] for j in cols] for i in rows],
-                [[local[j] for j in adjacency[i]] for i in rows],
-                L,
-            )
-            rows = [slots[i] for i in rows]  # from block indices to slots
-            cols = [slots[j] for j in cols]
-            for i, k in zip(rows, rounds[0][1]):
-                perm[i] = cols[k]
-            for (t, _), (_, match) in zip(rounds, rounds[1:]):
-                after.setdefault(t, []).append((rows, cols, match))
-            after.setdefault(rounds[-1][0], [])
+        rounds = _peel_block(
+            [row[:] for row in cells],
+            [[j for j, x in enumerate(row) if x] for row in cells],
+            L,
+        )
+        for i, k in zip(slots, rounds[0][1]):
+            perm[i] = slots[k]
+        for (t, _), (_, match) in zip(rounds, rounds[1:]):
+            after.setdefault(t, []).append((slots, match))
+        after.setdefault(rounds[-1][0], [])
     terms = []
     prev = 0
     for t in sorted(after):
         terms.append((tuple(perm), Fraction(t - prev, L)))
         if t == L:
             return terms
-        for rows, cols, match in after[t]:
-            for i, k in zip(rows, match):
-                perm[i] = cols[k]
+        for slots, match in after[t]:
+            for i, k in zip(slots, match):
+                perm[i] = slots[k]
         prev = t
     raise ValueError(_NO_MATCHING)  # no block's peel ends at L
 

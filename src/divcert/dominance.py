@@ -24,7 +24,7 @@ Both verifiers fold over runs of equal adjacent cells, so they cost per
 run, not per cell: `combine` sums each slot over the runs of equal
 sources in its column (perm_k[i])_k, and `verify_div2_instance` cuts
 each joint vector into its runs once for both of its folds.  Each term
-of a Birkhoff peel moves the slots of few support blocks, so a column
+of a Birkhoff peel moves the slots of few blocks of D, so a column
 holds few runs: on the n = 64 pairs of the certify benchmark, about 8.7
 of about 180 cells.
 """

@@ -245,8 +245,10 @@ class TestBirkhoff:
         with pytest.raises(ValueError, match="no perfect matching"):
             peel(rows, 2)
 
-    def test_interleaved_blocks_rematch_only_what_changed(self, monkeypatch):
-        # rows 0 and 2 use columns 1 and 3; rows 1 and 3 use columns 0 and 2
+    def test_interleaved_support_is_peeled_as_one_block(self, monkeypatch):
+        # rows 0 and 2 use columns 1 and 3; rows 1 and 3 use columns 0 and 2.
+        # No chain makes this block, whose support falls in two parts: the
+        # peel takes it whole, as it takes every block of D.
         rows = [[0, 1, 0, 2], [2, 0, 1, 0], [0, 2, 0, 1], [1, 0, 2, 0]]
         calls = []
 
@@ -261,8 +263,8 @@ class TestBirkhoff:
         assert oracles.naive_peel([row[:] for row in rows], 3) == expected
         calls.clear()
         assert peel(rows, 3) == expected
-        # each block's kernel runs once per round of its own peel, two each
-        assert calls == [2, 2, 2, 2]
+        # the block's kernel runs once per round of its peel, on all 4 rows
+        assert calls == [4, 4, 4]
 
     @given(block_stochastic_rows())
     @example(([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1))  # three 1 x 1 blocks
@@ -319,6 +321,23 @@ def separated_spread_pair(rng, atoms=8, doublings=3):
     return UniformGrid.from_values(xs).to_dist(), UniformGrid.from_values(es).to_dist()
 
 
+@st.composite
+def majorized_grids(draw, max_n=10):
+    """(a, b): b a sorted grid of 1..max_n slots with values k/d, |k| <= 4
+    and d <= 3, so values tie and repeat; a is b after up to four random
+    transfers (none: xi = eta), sorted, so b majorizes a."""
+    n = draw(st.integers(1, max_n))
+    small = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    b = sorted(draw(st.lists(small, min_size=n, max_size=n)))
+    a = list(b)
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i = draw(st.integers(0, n - 2))
+        j = draw(st.integers(i + 1, n - 1))
+        s = draw(st.sampled_from((F(1, 4), HALF, F(3, 4), F(1))))
+        a[i], a[j] = a[i] + s * (a[j] - a[i]), a[j] + s * (a[i] - a[j])
+    return UniformGrid(tuple(sorted(a))), UniformGrid(tuple(b))
+
+
 def support_components(rows):
     """(rows, columns) of each connected component of the positive cells
     of a square matrix, by a flood fill from each row not yet reached."""
@@ -345,6 +364,20 @@ def support_components(rows):
 class TestBlockProduct:
     """The transfer product, held as its blocks, against the dense product
     that updated full rows (oracles.naive_scaled_transfer_rows)."""
+
+    @given(majorized_grids())
+    @example((grid(5), grid(5)))  # n = 1
+    @example((grid(1, 1, 4, 4), grid(1, 1, 4, 4)))  # xi = eta, with ties
+    @settings(max_examples=300, deadline=None)
+    def test_every_block_is_one_support_component(self, pair):
+        # The chain's shares lie strictly between 0 and 1, so a transfer
+        # gives both rows the union of their supports and the support of
+        # every block of D is connected: the peel needs no finer split.
+        a, b = pair
+        assert all(0 < tr.s < 1 for tr in t_transform_chain(a, b))
+        blocks, _ = certify._scaled_transfer_rows(a, b)
+        components = support_components(expand(blocks, a.n))
+        assert components == [(slots, slots) for slots, _ in blocks]
 
     @given(transfer_chains())
     @example((1, ()))  # n = 1
@@ -373,8 +406,8 @@ class TestBlockProduct:
 
     def test_work_stays_inside_the_blocks(self, monkeypatch):
         # The product multiplies eight 8 x 8 blocks, never a 64-wide row,
-        # and the peel calls the kernel once per round of a support
-        # block's own peel: once per block breakpoint.
+        # and the peel calls the kernel once per round of a block's own
+        # peel: once per block breakpoint.
         a, b = common_refinement(*separated_spread_pair(random.Random(1)))
         assert a.n == 64
         blocks, L = certify._scaled_transfer_rows(a, b)
