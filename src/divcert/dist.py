@@ -23,13 +23,13 @@ vector (`JointDist._on_scale`): the weights are validated and scaled
 once, and no cell is read as a Fraction.  The folds run over runs of
 equal adjacent cells (`_runs`): each atom's vector is cut into its runs
 once, a run's weight is a difference of the weights' prefix sums, and
-both folds then cost per run, not per cell.  A certificate's joint law
-is almost constant along its terms: on the n = 64 pairs of the certify
-benchmark, a vector of about 180 cells holds about 8.3 runs.  A vector
-with no two neighbours equal is the worst case, every cell a run of its
-own, where the cut is pure overhead: on a 2-core x86-64 with CPython
-3.11, such a 62 x 183 joint checks in 5.1 ms where the per-cell folds
-took 2.9 ms.
+both folds then cost per run, not per cell.  A zero weight needs no
+case of its own: it adds nothing to a run's weight, and a value that
+only runs of weight 0 reach gets mass 0 in the mixture, which drops it.
+A certificate's joint law is almost constant along its terms: on the
+n = 64 pairs of the certify benchmark, a vector of about 180 cells holds
+about 8.3 runs.  A vector with no two neighbours equal is the worst
+case, every cell a run of its own, where the cut is pure overhead.
 
 `as_rational` keeps no memo of the strings it has parsed, though a parsed
 bundle repeats a few values thousands of times: in a prototype, a
@@ -45,7 +45,6 @@ fold over them.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -158,9 +157,7 @@ def _least_scale(rows: Sequence[Sequence[int]], den: int) -> tuple[Sequence[Sequ
 
 class _Weights(tuple):
     """The Fractions of a validated weight vector, keeping the integer view
-    its check computed as `scale`: self[i] == nums[i] / den.  A zero weight
-    has denominator 1, so that scale serves every fold over the vector,
-    with or without its zero entries."""
+    its check computed as `scale`: self[i] == nums[i] / den."""
 
     scale: tuple[list[int], int]
 
@@ -266,8 +263,6 @@ class SimpleDist:
 
     def scale(self, k) -> "SimpleDist":
         k = as_rational(k)
-        if k == 0:
-            return dirac(0)
         return SimpleDist.from_pairs((v * k, p) for v, p in self.atoms)
 
 
@@ -481,24 +476,18 @@ class JointDist:
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple]) -> "JointDist":
-        # sort-and-merge rather than a dict: vectors can be long, and
-        # comparing them short-circuits where hashing cannot
-        converted = []
+        """Build from (vector, prob) pairs: converts, merges equal vectors,
+        drops zero-probability atoms and sorts."""
+        merged: dict[tuple[Fraction, ...], Fraction] = {}
         for vec, prob in pairs:
             p = as_rational(prob)
             if p < 0:
                 raise ValueError("probabilities must be non-negative")
             if p == 0:
                 continue
-            converted.append((tuple(map(as_rational, vec)), p))
-        converted.sort(key=lambda pair: pair[0])
-        merged: list[tuple[tuple[Fraction, ...], Fraction]] = []
-        for vec, p in converted:
-            if merged and merged[-1][0] == vec:
-                merged[-1] = (vec, merged[-1][1] + p)
-            else:
-                merged.append((vec, p))
-        return JointDist.from_atoms(merged)
+            v = tuple(map(as_rational, vec))
+            merged[v] = merged.get(v, Fraction(0)) + p
+        return JointDist.from_atoms(sorted(merged.items()))
 
     @cached_property
     def atoms(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
@@ -531,18 +520,12 @@ class JointDist:
         return self._on_scale(weights).mixture()
 
     def _on_scale(self, weights: Sequence) -> "_ScaledJoint":
-        """Validate `weights` and cut each atom's vector, restricted to the
-        coordinates of positive weight, into its runs of equal adjacent
-        cells (`_runs`), on the one integer scale of the check; no cell is
-        rescaled."""
+        """Validate `weights` and cut each atom's vector into its runs of
+        equal adjacent cells (`_runs`), on the one integer scale of the
+        check; no cell is rescaled."""
         wnums, wden = simplex_weights(weights, self.m).scale
-        rows = self.rows
-        if 0 in wnums:
-            live = [i for i, wn in enumerate(wnums) if wn]
-            wnums = list(map(wnums.__getitem__, live))
-            rows = [list(map(row.__getitem__, live)) for row in rows]
         cum = list(accumulate(wnums, initial=0))
-        runs = [_runs(row, cum) for row in rows]
+        runs = [_runs(row, cum) for row in self.rows]
         return _ScaledJoint(runs, self.vden, wden, self.masses, self.pden)
 
 
@@ -560,11 +543,11 @@ def _runs(cells: Sequence[int], cum: Sequence[int]) -> tuple[list[int], list[int
 
 class _ScaledJoint(NamedTuple):
     """A joint law on integer scales, its atoms cut into runs: atom a is
-    runs[a] = (values, weights), one entry per run of equal adjacent cells
-    of positive weight, the run's value values[r] / vden and its summed
-    weight weights[r] / wden; the atom's probability is pnums[a] / pden.
-    Both sides of the diversification definition are folds over the runs,
-    so they cost per run, not per cell."""
+    runs[a] = (values, weights), one entry per run of equal adjacent cells,
+    the run's value values[r] / vden and its summed weight weights[r] / wden
+    (0 for a run of zero-weight cells); the atom's probability is
+    pnums[a] / pden.  Both sides of the diversification definition are
+    folds over the runs, so they cost per run, not per cell."""
 
     runs: list[tuple[list[int], list[int]]]
     vden: int
@@ -583,18 +566,14 @@ class _ScaledJoint(NamedTuple):
 
     def mixture(self) -> SimpleDist:
         """Law of X_K for K ~ weights: each run of an atom of probability p
-        adds its weight times p at its value.  Atoms of equal probability
-        share one sum of weights per value, multiplied by p once."""
-        by_prob: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+        adds its weight times p at its value.  A value that only runs of
+        weight 0 reach gets mass 0 and is dropped."""
+        mass: dict[int, int] = {}
         for (values, weights), pn in zip(self.runs, self.pnums):
-            weight_at = by_prob[pn]
             for k, w in zip(values, weights):
-                weight_at[k] += w
-        mass: defaultdict[int, int] = defaultdict(int)
-        for pn, weight_at in by_prob.items():
-            for k, wsum in weight_at.items():
-                mass[k] += pn * wsum
-        return _dist_on_scale(mass, self.vden, self.wden * self.pden)
+                mass[k] = mass.get(k, 0) + pn * w
+        live = {k: x for k, x in mass.items() if x}
+        return _dist_on_scale(live, self.vden, self.wden * self.pden)
 
 
 def convex_combination(j: JointDist, weights: Sequence) -> SimpleDist:

@@ -286,9 +286,9 @@ def verify_div2_instance(
     """Check a weighted-position witness: the convex combination of the
     joint coordinates must equal xi and the mixture of its marginals must
     equal eta, both exactly.  Both laws are folds over the integer view
-    the joint holds, restricted to the coordinates of positive weight
-    (`JointDist._on_scale`), which cuts each atom's vector into its runs
-    of equal adjacent cells once for both folds; the mixture runs only
+    the joint holds (`JointDist._on_scale`), which cuts each atom's vector
+    into its runs of equal adjacent cells once for both folds; a zero
+    weight is a run of weight 0 that adds nothing.  The mixture runs only
     when the convex combination matches, and no marginal is built."""
     scaled = joint._on_scale(weights)
     return scaled.convex_combination() == xi and scaled.mixture() == eta

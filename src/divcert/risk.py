@@ -29,8 +29,7 @@ def tail_integral(d: SimpleDist, alpha) -> Fraction:
 def expected_shortfall(d: SimpleDist, alpha) -> Fraction:
     """Average loss over the worst alpha-fraction of outcomes:
     -(1/alpha) * integral of the quantile function over (0, alpha]."""
-    alpha = _check_level(alpha)
-    return -tail_integral(d, alpha) / alpha
+    return es_curve(d).es_at(alpha)
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,12 @@ class TestJoint:
 
     def test_marginals(self):
         j = JointDist.from_pairs([((1, 3), F(1, 2)), ((3, 1), F(1, 2))])
+        # duplicates out of order merge; a zero probability skips its vector
+        # before it is converted
+        assert JointDist.from_pairs([
+            ((3, 1), F(1, 4)), (("1", "3"), F(1, 2)), ((1, 3), 0),
+            (("x", None), 0), ((3, 1), F(1, 4)),
+        ]) == j
         expected = SimpleDist.from_pairs([(1, F(1, 2)), (3, F(1, 2))])
         assert j.marginal(0) == expected
         assert j.marginal(1) == expected
@@ -297,6 +303,7 @@ class TestProperties:
     def test_canonical_invariants(self, d):
         assert sum(d.probs) == 1
         assert all(a < b for a, b in zip(d.values, d.values[1:]))
+        assert d.scale(0) == dirac(0)
 
     @given(dists())
     def test_expand_preserves_mean_and_distance(self, d):

@@ -30,7 +30,7 @@ from fractions import Fraction as F
 from itertools import accumulate, groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divcert.dist
@@ -346,6 +346,47 @@ def run_certificates(draw, max_n=8, max_terms=40):
     return PermutationCertificate(n=n, terms=tuple(zip(perms, ws)))
 
 
+class Draws:
+    """Stands in for st.data() in an @example: draw() hands out the given
+    values in order, whatever strategy it is passed."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.pending = iter(values)
+
+    def draw(self, strategy, label=None):
+        return next(self.pending)
+
+    def __repr__(self):
+        return f"Draws{self.values!r}"
+
+
+#: (joint, weights) where a zero weight falls inside a run of equal cells,
+#: on a cell between two equal cells of another value, at both ends, and
+#: on every coordinate but one
+ZERO_WEIGHT_CASES = [
+    (JointDist.from_pairs([((1, 1, 1), F(1, 2)), ((2, 1, 3), F(1, 2))]), (F(1, 4), 0, F(3, 4))),
+    (JointDist.from_pairs([((1, 5, 1), F(1, 3)), ((0, 5, 2), F(2, 3))]), (F(1, 2), 0, F(1, 2))),
+    (
+        JointDist.from_pairs([((7, 1, 2, 7), F(1, 2)), ((-1, 2, 2, F(3, 2)), F(1, 2))]),
+        (0, F(1, 3), F(2, 3), 0),
+    ),
+    (JointDist.from_pairs([((4, 4, F(1, 2), 4), F(1, 4)), ((0, 1, 2, 3), F(3, 4))]), (0, 0, 1, 0)),
+]
+
+
+def zero_weight_examples(*draws):
+    """@example every ZERO_WEIGHT_CASES joint, with its weights and then
+    `draws` as the test's draws from st.data()."""
+
+    def add(test):
+        for j, ws in ZERO_WEIGHT_CASES:
+            test = example(j, Draws(ws, *draws))(test)
+        return test
+
+    return add
+
+
 def chain_outcome(fn, a, b):
     """The transfers fn(a, b) returns, or the witness of its MajorizationError."""
     try:
@@ -371,12 +412,14 @@ class TestSums:
         assert mixture(ds, ws) == oracles.naive_mixture(ds, ws)
 
     @given(st.one_of(joints(), run_joints()), st.data())
+    @zero_weight_examples()
     @settings(max_examples=200, deadline=None)
     def test_convex_combination(self, j, data):
         ws = data.draw(simplex(j.m))
         assert convex_combination(j, ws) == oracles.naive_convex_combination(j, ws)
 
     @given(st.one_of(joints(), run_joints()), st.data())
+    @zero_weight_examples()
     @settings(max_examples=200, deadline=None)
     def test_mixture_of_marginals(self, j, data):
         ws = data.draw(simplex(j.m))
@@ -428,6 +471,7 @@ class TestValidators:
 
 class TestIntegerView:
     @given(st.one_of(joints(), run_joints()), st.data())
+    @zero_weight_examples(dirac(0))
     @settings(deadline=None)
     def test_verify_div2_accepts_exactly_the_two_laws(self, j, data):
         ws = data.draw(simplex(j.m))
