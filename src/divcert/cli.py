@@ -118,13 +118,7 @@ def cmd_certify(args) -> int:
         raise AssertionError("constructed certificate failed self-verification")
     if not verify_div2_instance(xi, eta, joint, cert.weights):
         raise AssertionError("witnessing joint law failed self-verification")
-    payload = {
-        "certified": True,
-        **serialize.certificate_to_obj(cert),
-        "joint": serialize.joint_to_obj(joint),
-        "coupling": serialize.coupling_to_obj(coupling),
-    }
-    _emit(dumps(payload), args.out)
+    _emit(serialize.bundle_text(cert, joint, coupling), args.out)
     return OK
 
 
@@ -136,7 +130,7 @@ def cmd_mps(args) -> int:
     except CertificationError as exc:
         _emit(dumps({"certified": False, "reason": str(exc)}), args.out)
         return FAIL
-    _emit(dumps(serialize.coupling_to_obj(coupling)), args.out)
+    _emit(serialize.coupling_text(coupling), args.out)
     return OK
 
 

@@ -7,18 +7,24 @@ additional 12-significant-digit decimal rendering for readability.
 Serializing a canonical object, parsing it back and serializing again is
 byte-identical.
 
-`dumps` writes exactly the text of ``json.dumps(obj, indent=2) + "\\n"``,
-byte for byte, but builds it with string joins: CPython's C encoder does
-not handle `indent`, so json.dumps(indent=2) runs its pure-Python one.
-It takes only the plain trees divcert builds and raises TypeError on a
-float or a non-str key.
+Every JSON file divcert writes is the text of ``json.dumps(obj, indent=2)
++ "\\n"`` for some tree `obj`, but no writer runs json.dumps: CPython's C
+encoder does not handle `indent`, so json.dumps(indent=2) runs its
+pure-Python one.
+
+* `bundle_text` writes the certified bundle of `divcert certify`: the
+  permutation terms (0-based permutations), the witnessing joint law and
+  the martingale coupling.  `coupling_text` writes the coupling of
+  `divcert mps` with the same renderer.  Both render from the integer
+  views the witness types hold, with no tree in between: each distinct
+  value is printed once and every list is joined in C.
+* `dumps` serves every other report, from reject reports to lift tables.
+  It builds the text of a plain tree with string joins, and raises
+  TypeError on a float or a non-str key.
 
 Distribution files look like::
 
     {"atoms": [{"v": "-1/2", "p": "1/4"}, {"v": "3", "p": "3/4"}]}
-
-Certificates bundle the permutation terms (0-based permutations), the
-witnessing joint law and the martingale coupling.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import decimal
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .certify import LiftResult
@@ -116,23 +121,6 @@ def dist_from_obj(obj) -> SimpleDist:
     return SimpleDist.from_pairs(pairs)
 
 
-def _texts(rows, den: int) -> list[list[str]]:
-    """The rational strings of rows/den, each distinct numerator printed
-    once: a certificate repeats a few values in thousands of cells."""
-    text = {k: rational_str(Fraction(k, den)) for k in set(chain.from_iterable(rows))}
-    return [list(map(text.__getitem__, row)) for row in rows]
-
-
-def joint_to_obj(j: JointDist) -> dict:
-    return {
-        "m": j.m,
-        "atoms": [
-            {"v": vec, "p": rational_str(Fraction(mass, j.pden))}
-            for vec, mass in zip(_texts(j.rows, j.vden), j.masses)
-        ],
-    }
-
-
 def joint_from_obj(obj) -> JointDist:
     _fields(obj, "joint JSON", "atoms")
     pairs = []
@@ -145,15 +133,6 @@ def joint_from_obj(obj) -> JointDist:
     return JointDist.from_atoms(pairs)
 
 
-def certificate_to_obj(cert: PermutationCertificate) -> dict:
-    return {
-        "n": cert.n,
-        "terms": [
-            {"perm": list(perm), "weight": rational_str(w)} for perm, w in cert.terms
-        ],
-    }
-
-
 def certificate_from_obj(obj) -> PermutationCertificate:
     _fields(obj, "certificate JSON", "n", "terms")
     terms = []
@@ -164,15 +143,6 @@ def certificate_from_obj(obj) -> PermutationCertificate:
             raise ValueError(f"perm must list integers, not {json.dumps(perm)}")
         terms.append((tuple(perm), _rationals([entry["weight"]], "term weight")[0]))
     return PermutationCertificate(n=_int(obj["n"], "n"), terms=tuple(terms))
-
-
-def coupling_to_obj(c: MartingaleCoupling) -> dict:
-    return {
-        "n": c.n,
-        "row_values": [rational_str(v) for v in c.row_values],
-        "col_values": [rational_str(v) for v in c.col_values],
-        "matrix": _texts(c.cells, c.den),
-    }
 
 
 def coupling_from_obj(obj) -> MartingaleCoupling:
@@ -244,6 +214,89 @@ def dumps(obj) -> str:
     number in divcert's output is written as a string or an int.
     """
     return _encode(obj, "\n") + "\n"
+
+
+# The witness writers.  Each takes `newline`, the line break and the
+# indentation of the depth its object opens at, and fills fixed templates;
+# the text equals `dumps` of the witness's JSON tree, the reference trees
+# of tests/oracles.py.  No list they write is empty: the witness
+# validators see to that.
+
+
+def _rows(rows, den: int, newline: str) -> list[str]:
+    """Each row of numerators over `den` as a JSON list of rational strings
+    opening at `newline`.  Each distinct numerator is printed once: a
+    witness repeats a few values in thousands of cells."""
+    text = {k: rational_str(Fraction(k, den)) for k in set().union(*rows)}
+    inner = newline + "  "
+    head, sep, tail = f'[{inner}"', f'",{inner}"', f'"{newline}]'
+    return [f"{head}{sep.join(map(text.__getitem__, row))}{tail}" for row in rows]
+
+
+def _terms(cert: PermutationCertificate, newline: str) -> str:
+    """The certificate's "terms" list: {"perm": [...], "weight": "..."}."""
+    item = newline + "  "
+    field = item + "  "
+    slot = field + "  "
+    slots = [str(k) for k in range(cert.n)]
+    sep = "," + slot
+    head = f'{{{field}"perm": [{slot}'
+    mid = f'{field}],{field}"weight": "'
+    tail = f'"{item}}}'
+    terms = ("," + item).join(
+        f"{head}{sep.join(map(slots.__getitem__, perm))}{mid}{rational_str(w)}{tail}"
+        for perm, w in cert.terms
+    )
+    return f"[{item}{terms}{newline}]"
+
+
+def _joint(j: JointDist, newline: str) -> str:
+    """{"m": m, "atoms": [{"v": [...], "p": "..."}, ...]}"""
+    inner = newline + "  "
+    atom = inner + "  "
+    field = atom + "  "
+    vectors = _rows(j.rows, j.vden, field)
+    mass = {k: rational_str(Fraction(k, j.pden)) for k in set(j.masses)}
+    head, mid, tail = f'{{{field}"v": ', f',{field}"p": "', f'"{atom}}}'
+    atoms = ("," + atom).join(
+        f"{head}{vec}{mid}{mass[k]}{tail}" for vec, k in zip(vectors, j.masses)
+    )
+    return f'{{{inner}"m": {j.m},{inner}"atoms": [{atom}{atoms}{inner}]{newline}}}'
+
+
+def _coupling(c: MartingaleCoupling, newline: str) -> str:
+    """{"n": n, "row_values": [...], "col_values": [...], "matrix": [[...], ...]}"""
+    inner = newline + "  "
+    item = inner + "  "
+    sep = f'",{item}"'
+    row_values = sep.join(map(rational_str, c.row_values))
+    col_values = sep.join(map(rational_str, c.col_values))
+    matrix = ("," + item).join(_rows(c.cells, c.den, item))
+    return (
+        f'{{{inner}"n": {c.n},'
+        f'{inner}"row_values": [{item}"{row_values}"{inner}],'
+        f'{inner}"col_values": [{item}"{col_values}"{inner}],'
+        f'{inner}"matrix": [{item}{matrix}{inner}]{newline}}}'
+    )
+
+
+def bundle_text(
+    cert: PermutationCertificate, joint: JointDist, coupling: MartingaleCoupling
+) -> str:
+    """The certified bundle `divcert certify` writes: the dumps text of
+    {"certified": true, "n": ..., "terms": ..., "joint": ..., "coupling": ...}."""
+    inner = "\n  "
+    return (
+        f'{{{inner}"certified": true,{inner}"n": {cert.n},'
+        f'{inner}"terms": {_terms(cert, inner)},'
+        f'{inner}"joint": {_joint(joint, inner)},'
+        f'{inner}"coupling": {_coupling(coupling, inner)}\n}}\n'
+    )
+
+
+def coupling_text(coupling: MartingaleCoupling) -> str:
+    """The martingale coupling `divcert mps` writes."""
+    return _coupling(coupling, "\n") + "\n"
 
 
 def load_samples_csv(path: str) -> SimpleDist:

@@ -17,9 +17,12 @@ and the step-by-step recurrences behind the lift and the SSD split before
 they became closed forms (naive_lift_delta_gamma, naive_decompose_ssd).
 The validator loops of SimpleDist and UniformGrid before they checked on
 integer numerators (naive_validate_dist, naive_validate_grid), and the
-per-cell rendering of a joint law before it printed each cell object once
-(naive_joint_to_obj), are kept the same way, as is the string parser
-that sent every string through Fraction's regex (naive_as_rational).
+JSON trees of the three witnesses, one rational_str per cell, that
+`divcert certify` passed to `dumps` before its writers rendered the
+integer views straight to text (certificate_to_obj, naive_joint_to_obj,
+coupling_to_obj, bundle_obj), are kept the same way, as is the string
+parser that sent every string through Fraction's regex
+(naive_as_rational).
 So are the transfer chain that rescanned for a surplus from i + 1 on
 Fractions at every step (naive_t_transform_chain), the majorization
 test that kept two Fraction prefix sums (naive_check_majorization), and
@@ -40,6 +43,8 @@ from divcert import (
     LiftResult,
     MajorizationCheck,
     MajorizationError,
+    MartingaleCoupling,
+    PermutationCertificate,
     SimpleDist,
     SsdViolatedError,
     TTransform,
@@ -497,6 +502,16 @@ def naive_validate_grid(values) -> None:
             raise ValueError("grid values must be Fractions")
 
 
+def certificate_to_obj(cert: PermutationCertificate) -> dict:
+    """The JSON tree of a permutation certificate."""
+    return {
+        "n": cert.n,
+        "terms": [
+            {"perm": list(perm), "weight": rational_str(w)} for perm, w in cert.terms
+        ],
+    }
+
+
 def naive_joint_to_obj(j: JointDist) -> dict:
     """The JSON tree of a joint law, one rational_str per cell."""
     return {
@@ -505,6 +520,28 @@ def naive_joint_to_obj(j: JointDist) -> dict:
             {"v": [rational_str(x) for x in vec], "p": rational_str(p)}
             for vec, p in j.atoms
         ],
+    }
+
+
+def coupling_to_obj(c: MartingaleCoupling) -> dict:
+    """The JSON tree of a martingale coupling, one rational_str per cell."""
+    return {
+        "n": c.n,
+        "row_values": [rational_str(v) for v in c.row_values],
+        "col_values": [rational_str(v) for v in c.col_values],
+        "matrix": [[rational_str(x) for x in row] for row in c.matrix],
+    }
+
+
+def bundle_obj(
+    cert: PermutationCertificate, joint: JointDist, coupling: MartingaleCoupling
+) -> dict:
+    """The JSON tree of the bundle `divcert certify` writes."""
+    return {
+        "certified": True,
+        **certificate_to_obj(cert),
+        "joint": naive_joint_to_obj(joint),
+        "coupling": coupling_to_obj(coupling),
     }
 
 

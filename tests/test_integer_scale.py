@@ -26,6 +26,7 @@ in runs, and run-free ones, with no two neighbours equal, must give what
 the per-cell loops give.
 """
 
+import json
 from fractions import Fraction as F
 from itertools import accumulate, groupby
 
@@ -56,7 +57,7 @@ from divcert import (
     verify_div2_instance,
 )
 from divcert.dist import _runs
-from divcert.serialize import joint_from_obj, joint_to_obj
+from divcert.serialize import _joint, dumps, joint_from_obj
 
 #: value denominators are 2^a 3^b; weight denominators come from the drawn
 #: weight totals, so they are often coprime to them (5, 7, 11, 13, ...)
@@ -526,9 +527,12 @@ class TestIntegerView:
         assert (built.cells, built.den) == (parsed.cells, parsed.den)
 
     @given(joints())
+    @example(JointDist(((2, 6), (4, 2)), 4, (2, 2), 4))  # both scales cancel by 2
     def test_joint_to_obj(self, j):
-        obj = joint_to_obj(j)
+        text = _joint(j, "\n")
+        obj = json.loads(text)
         assert obj == oracles.naive_joint_to_obj(j)
+        assert text + "\n" == dumps(obj)
         assert joint_from_obj(obj) == j
 
 

@@ -4,36 +4,43 @@ import fractions
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import divcert.dominance
 import helpers
 import oracles
 from divcert import (
+    JointDist,
+    MartingaleCoupling,
     SimpleDist,
+    UniformGrid,
     certify_bundle,
     certify_div1,
+    dirac,
     mps_coupling,
     regrid,
     verify_div1_certificate,
     verify_div2_instance,
 )
 from divcert.serialize import (
+    bundle_text,
     certificate_from_obj,
-    certificate_to_obj,
     coupling_from_obj,
-    coupling_to_obj,
+    coupling_text,
     decimal_str,
     dist_from_obj,
     dist_to_obj,
     dumps,
     joint_from_obj,
-    joint_to_obj,
     rational_obj,
 )
+from oracles import certificate_to_obj, coupling_to_obj
+from oracles import naive_joint_to_obj as joint_to_obj
 
 
 class TestDistJson:
@@ -149,14 +156,14 @@ class TestCertificateJson:
 
 
 def _wire(xi, eta) -> dict:
-    """certify -> *_to_obj -> JSON text -> a fresh object."""
-    cert, joint, coupling = certify_bundle(xi, eta)
-    obj = {
-        "certificate": certificate_to_obj(cert),
-        "joint": joint_to_obj(joint),
-        "coupling": coupling_to_obj(coupling),
+    """The bundle text `divcert certify` writes, read back, its three parts
+    apart."""
+    bundle = json.loads(bundle_text(*certify_bundle(xi, eta)))
+    return {
+        "certificate": {"n": bundle["n"], "terms": bundle["terms"]},
+        "joint": bundle["joint"],
+        "coupling": bundle["coupling"],
     }
-    return json.loads(dumps(obj))
 
 
 def _verdict(xi, eta, obj) -> bool:
@@ -372,6 +379,94 @@ class TestDumps:
             obj["joint"] = joint_to_obj(joint)
             obj["coupling"] = coupling_to_obj(coupling)
             assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+#: values with negative and non-dyadic members, so denominators repeat
+spread_values = st.builds(F, st.integers(-24, 24), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def spread_pairs(draw):
+    """(xi, eta) with eta a mean-preserving spread of xi: xi on up to four
+    slots, each slot of eta split up to twice into v - s and v + s."""
+    xs = sorted(draw(st.lists(spread_values, min_size=1, max_size=4)))
+    es = list(xs)
+    for _ in range(draw(st.integers(0, 2))):
+        spread = []
+        for v in es:
+            s = draw(st.builds(F, st.integers(0, 6), st.sampled_from((1, 2, 3))))
+            spread += [v - s, v + s]
+        es = spread
+    return UniformGrid.from_values(xs).to_dist(), UniformGrid.from_values(sorted(es)).to_dist()
+
+
+#: negative, non-dyadic values: eta spreads the Dirac at -1/3
+NEGATIVE_THIRDS = (dirac(F(-1, 3)), SimpleDist.from_pairs([(F(-2, 3), F(1, 2)), (0, F(1, 2))]))
+#: a pair whose coupling is built over a denominator (2080) that its cells
+#: share a factor with, so the coupling holds them over 1040
+CANCELLING = (
+    dirac(-2),
+    SimpleDist.from_pairs([(F(-21, 4), F(1, 4)), (F(-9, 4), F(1, 4)), (F(-1, 4), F(1, 2))]),
+)
+
+
+class TestWitnessWriters:
+    """The bundle and coupling writers render the integer views straight to
+    text; `dumps` of the JSON trees in oracles.py defines that text."""
+
+    @given(spread_pairs())
+    @example((dirac(3), dirac(3)))  # n = 1, xi = eta
+    @example(NEGATIVE_THIRDS)
+    @example(CANCELLING)
+    @settings(max_examples=60, deadline=None)
+    def test_texts_equal_dumps_of_the_reference_trees(self, pair):
+        xi, eta = pair
+        cert, joint, coupling = certify_bundle(xi, eta)
+        written = bundle_text(cert, joint, coupling)
+        assert written == dumps(oracles.bundle_obj(cert, joint, coupling))
+        mps = mps_coupling(xi, eta)
+        assert coupling_text(mps) == dumps(coupling_to_obj(mps))
+
+    def test_the_cancelling_example_cancels(self, monkeypatch):
+        scales = []
+        least_scale = divcert.dominance._least_scale
+
+        def spy(rows, den):
+            rows, least = least_scale(rows, den)
+            scales.append((den, least))
+            return rows, least
+
+        monkeypatch.setattr(divcert.dominance, "_least_scale", spy)
+        _, _, coupling = certify_bundle(*CANCELLING)
+        assert scales == [(2080, 1040)] and coupling.den == 1040
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int-to-str digit limit")
+    def test_digit_limit(self):
+        """A value past the interpreter's digit limit fails the writers with
+        the error the trees give."""
+        huge = 10**700 + 1
+        cert, _, _ = certify_bundle(dirac(0), dirac(0))
+        small = MartingaleCoupling(1, ((1,),), 1, (F(0),), (F(0),))
+        joint = JointDist(((huge,),), 3, (1,), 1)
+        zeros = (F(0), F(0))
+        wide = MartingaleCoupling(2, ((huge, 1), (1, huge)), 2 * (huge + 1), zeros, zeros)
+        cases = [
+            (lambda: bundle_text(cert, joint, small),
+             lambda: dumps(oracles.bundle_obj(cert, joint, small))),
+            (lambda: coupling_text(wide), lambda: dumps(coupling_to_obj(wide))),
+        ]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for writer, tree in cases:
+                with pytest.raises(ValueError, match="^the exact result has ") as written:
+                    writer()
+                with pytest.raises(ValueError) as built:
+                    tree()
+                assert str(written.value) == str(built.value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestRenderings:
