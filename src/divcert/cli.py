@@ -213,26 +213,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_b")
     p.set_defaults(func=cmd_kantorovich)
 
-    p = sub.add_parser("certify", help="build a diversification certificate")
-    p.add_argument("input_xi")
-    p.add_argument("input_eta")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("mps", help="martingale coupling witnessing a mean-preserving spread")
-    p.add_argument("input_xi")
-    p.add_argument("input_eta")
-    p.set_defaults(func=cmd_mps)
-
-    p = sub.add_parser("lift", help="lift an arbitrary pair to a certified one")
-    p.add_argument("input_xi")
-    p.add_argument("input_eta")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("decompose", help="split second-order dominance into "
-                       "a first-order step and an equal-means step")
-    p.add_argument("input_xi")
-    p.add_argument("input_eta")
-    p.set_defaults(func=cmd_decompose)
+    for name, summary, func in [
+        ("certify", "build a diversification certificate", cmd_certify),
+        ("mps", "martingale coupling witnessing a mean-preserving spread", cmd_mps),
+        ("lift", "lift an arbitrary pair to a certified one", cmd_lift),
+        ("decompose", "split second-order dominance into "
+         "a first-order step and an equal-means step", cmd_decompose),
+    ]:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("input_xi")
+        p.add_argument("input_eta")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("mix", help="probabilistic mixture of distributions")
     p.add_argument("inputs", nargs="+")

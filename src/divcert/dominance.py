@@ -124,9 +124,13 @@ class PermutationCertificate:
             raise ValueError(
                 f"{len(self.terms)} terms exceed the bound {(self.n - 1) ** 2 + 1}"
             )
-        full = frozenset(range(self.n))
+        # the reference set costs O(n): build it only for a perm of length
+        # n, so a short certificate claiming a huge n allocates nothing
+        full = None
         nums, den = common_scale(self.weights)
         for (perm, _), num in zip(self.terms, nums):
+            if len(perm) == self.n:
+                full = full or frozenset(range(self.n))
             if len(perm) != self.n or frozenset(perm) != full:
                 raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")
             if num <= 0:

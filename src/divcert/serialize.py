@@ -8,19 +8,20 @@ Serializing a canonical object, parsing it back and serializing again is
 byte-identical.
 
 Every JSON file divcert writes is the text of ``json.dumps(obj, indent=2)
-+ "\\n"`` for some tree `obj`, but no writer runs json.dumps: CPython's C
-encoder does not handle `indent`, so json.dumps(indent=2) runs its
-pure-Python one.
++ "\\n"`` for some tree `obj`.
 
 * `bundle_text` writes the certified bundle of `divcert certify`: the
   permutation terms (0-based permutations), the witnessing joint law and
   the martingale coupling.  `coupling_text` writes the coupling of
   `divcert mps` with the same renderer.  Both render from the integer
   views the witness types hold, with no tree in between: each distinct
-  value is printed once and every list is joined in C.
-* `dumps` serves every other report, from reject reports to lift tables.
-  It builds the text of a plain tree with string joins, and raises
-  TypeError on a float or a non-str key.
+  value is printed once and every list is joined in C.  A bundle holds
+  tens of thousands of scalars, and CPython's C encoder does not handle
+  `indent`: json.dumps(indent=2) would run its pure-Python encoder on
+  every one of them.
+* `dumps` serves every other report, from reject reports to lift tables:
+  it is json.dumps(indent=2) itself, behind a walk that raises TypeError
+  on a float or a non-str key.
 
 Distribution files look like::
 
@@ -33,7 +34,6 @@ import decimal
 import json
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .certify import LiftResult
 from .dist import JointDist, SimpleDist, as_rational
@@ -166,54 +166,33 @@ def lift_to_obj(res: LiftResult) -> dict:
     }
 
 
-def _encode(x, newline: str) -> str:
-    """JSON text of `x` as json.dumps(indent=2) writes it at the depth
-    whose line breaks are `newline` ("\\n" plus the indentation)."""
-    kind = type(x)
-    if kind is str:
-        return encode_basestring_ascii(x)
-    if kind is int:
-        return int.__repr__(x)
-    if kind is list or kind is tuple:
-        if not x:
-            return "[]"
-        inner = newline + "  "
-        kinds = set(map(type, x))
-        if kinds == {str}:
-            items = map(encode_basestring_ascii, x)
-        elif kinds == {int}:
-            items = map(repr, x)
-        else:
-            items = [_encode(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is dict:
-        if not x:
-            return "{}"
-        inner = newline + "  "
-        items = []
-        for k, v in x.items():
-            if type(k) is not str:
+def _check_plain(x) -> None:
+    """Raise TypeError on a float or a non-str key anywhere in the tree `x`."""
+    if isinstance(x, float):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if isinstance(x, dict):
+        for k in x:
+            if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
-            items.append(encode_basestring_ascii(k) + ": " + _encode(v, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        x = x.values()
+    elif not isinstance(x, (list, tuple)):
+        return
+    for v in x:
+        _check_plain(v)
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: two-space indent, stable key order as built.
+    """Canonical JSON text: ``json.dumps(obj, indent=2) + "\\n"``, two-space
+    indent, keys in the order built.
 
-    Equal to ``json.dumps(obj, indent=2) + "\\n"`` byte for byte on trees of
-    dicts with str keys, lists, tuples, str, int, bool and None.  Any other
-    value raises TypeError: a float would break exactness, and every
-    number in divcert's output is written as a string or an int.
+    A float anywhere in `obj`, or a dict key that is not a str, raises
+    TypeError first: a float would break exactness, every number in
+    divcert's output is written as a string or an int, and json.dumps
+    would turn an int or bool key into a string.  Any other value
+    json.dumps cannot write raises its own TypeError.
     """
-    return _encode(obj, "\n") + "\n"
+    _check_plain(obj)
+    return json.dumps(obj, indent=2) + "\n"
 
 
 # The witness writers.  Each takes `newline`, the line break and the

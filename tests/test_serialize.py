@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -147,6 +148,25 @@ class TestCertificateJson:
             with pytest.raises(ValueError) as integers_way:
                 helpers.joint_from_integers([(a["v"], a["p"]) for a in bad])
             assert str(integers_way.value) == str(fractions_way.value)
+
+    @pytest.mark.parametrize("parse, obj, message", [
+        (certificate_from_obj, {"n": 10**6, "terms": [{"perm": [0], "weight": "1"}]},
+         "is not a permutation of 0..999999"),
+        (coupling_from_obj,
+         {"n": 10**6, "row_values": ["0"], "col_values": ["0"], "matrix": [["1"]]},
+         "must all have size n"),
+    ], ids=["certificate", "coupling"])
+    def test_a_huge_n_in_a_small_file_is_refused_small(self, parse, obj, message):
+        """A claimed n is refused by the lengths of the lists that carry it
+        before anything of size n is built."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                parse(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("parse, obj", list(MALFORMED_BUNDLE_PARTS.values()),
                              ids=list(MALFORMED_BUNDLE_PARTS))
@@ -356,6 +376,10 @@ json_trees = st.recursive(
 )
 
 
+class Real(float):
+    """A float by isinstance, not by type."""
+
+
 class TestDumps:
     @given(json_trees)
     @settings(max_examples=150, deadline=None)
@@ -364,7 +388,8 @@ class TestDumps:
 
     @pytest.mark.parametrize(
         "tree",
-        [1.5, [1, 2.0], {"gap": float("nan")}, {1: "a"}, [{"ok": [{0: None}]}], {"s": {1, 2}}],
+        [1.5, [1, 2.0], {"gap": float("nan")}, {1: "a"}, [{"ok": [{0: None}]}], {"s": {1, 2}},
+         {"row": ("1/2", Real(0.5))}, {True: "a"}],
     )
     def test_rejects_what_is_not_a_plain_tree(self, tree):
         with pytest.raises(TypeError):
