@@ -39,7 +39,6 @@ from .dist import (
     simplex_weights,
 )
 from .dominance import (
-    MajorizationCheck,
     MartingaleCoupling,
     PermutationCertificate,
     TTransform,
@@ -47,6 +46,7 @@ from .dominance import (
     check_majorization,
     check_ssd,
     fsd_violation,
+    majorization_violation,
     verify_div1_certificate,
     verify_div2_instance,
 )
@@ -70,7 +70,6 @@ __all__ = [
     "GridCapError",
     "JointDist",
     "LiftResult",
-    "MajorizationCheck",
     "MajorizationError",
     "MartingaleCoupling",
     "MeansDifferError",
@@ -97,6 +96,7 @@ __all__ = [
     "kantorovich",
     "kantorovich_cdf",
     "lift_delta_gamma",
+    "majorization_violation",
     "mixture",
     "mps_coupling",
     "quantize_values",

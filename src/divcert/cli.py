@@ -27,8 +27,8 @@ from .certify import (
 )
 from .dist import as_rational, common_refinement, mixture, quantize_values
 from .dominance import (
-    check_majorization,
     fsd_violation,
+    majorization_violation,
     verify_div1_certificate,
     verify_div2_instance,
 )
@@ -59,24 +59,17 @@ def cmd_check(args) -> int:
         "mean_b": rational_obj(b.mean()),
     }
     if args.relation == "fsd":
-        witness = fsd_violation(a, b)
-        report["holds"] = witness is None
-        if witness is not None:
-            report["witness"] = {"cdf_crossing_above": rational_obj(witness)}
+        key, witness = "cdf_crossing_above", fsd_violation(a, b)
     elif args.relation == "ssd":
-        gap = ssd_gap(a, b)
-        witness = ssd_violation(a, b)
-        report["gap"] = rational_obj(gap)
-        report["holds"] = witness is None
-        if witness is not None:
-            report["witness"] = {"alpha": rational_obj(witness)}
+        report["gap"] = rational_obj(ssd_gap(a, b))
+        key, witness = "alpha", ssd_violation(a, b)
     else:  # majorization, on the common uniform refinement
         ga, gb = common_refinement(a, b)
-        result = check_majorization(ga, gb)
         report["grid_size"] = ga.n
-        report["holds"] = result.holds
-        if not result:
-            report["witness"] = {"prefix_index": result.witness}
+        key, witness = "prefix_index", majorization_violation(ga, gb)
+    report["holds"] = witness is None
+    if witness is not None:
+        report["witness"] = {key: rational_obj(witness) if isinstance(witness, Fraction) else witness}
     _emit(dumps(report), args.out)
     return OK if report["holds"] else FAIL
 

@@ -1,12 +1,15 @@
 """Decision procedures for stochastic dominance, the witness types and
 certificate checking.
 
-First-order dominance compares CDFs at the merged atom values;
-second-order dominance is decided in the quantile domain (a breakpoint
-scan over the gap integral, reusing the Expected Shortfall machinery).
-Both are exact.  The witness types `TTransform`, `PermutationCertificate`
-and `MartingaleCoupling` are defined here with every rule that makes
-them valid; `certify` builds them, and this module imports nothing from
+Every order relation is decided the same way, exactly: one scan returns
+its first witness, or None when the relation holds, and each `check_*`
+is that scan's `is None`.  `fsd_violation` compares CDFs at the merged
+atom values; `risk.ssd_violation` scans the quantile-gap integral at its
+breakpoints and stops at the first positive gap;
+`majorization_violation` keeps one running integer sum of prefix
+excesses.  The witness types `TTransform`, `PermutationCertificate` and
+`MartingaleCoupling` are defined here with every rule that makes them
+valid; `certify` builds them, and this module imports nothing from
 `certify`, so no check runs construction code.  The verifiers check
 witnesses against their defining identities, again exactly: a
 certificate that passes here is a proof.  The validators and verifiers
@@ -78,6 +81,27 @@ def check_ssd(xi: SimpleDist, eta: SimpleDist) -> bool:
     both sides are piecewise linear, so the scan is exact and complete.
     """
     return ssd_violation(xi, eta) is None
+
+
+def majorization_violation(a: UniformGrid, b: UniformGrid) -> int | None:
+    """Smallest prefix length j (1-based) at which the ascending prefix sum
+    of `b` exceeds that of `a`, or n when only the totals differ; None
+    when `a` majorizes `b`.  One running sum of b - a over the integer
+    numerators of both grids on one common denominator."""
+    if a.n != b.n:
+        raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
+    n = a.n
+    nums, _ = common_scale(a.values + b.values)
+    for j, excess in enumerate(accumulate(map(sub, nums[n:], nums[:n])), start=1):
+        if excess > 0:
+            return j
+    return n if excess else None
+
+
+def check_majorization(a: UniformGrid, b: UniformGrid) -> bool:
+    """True iff the grids have equal totals and every ascending prefix sum
+    of `a` is at least that of `b`."""
+    return majorization_violation(a, b) is None
 
 
 @dataclass(frozen=True)
@@ -222,38 +246,6 @@ class MartingaleCoupling:
         den = self.den
         zero = Fraction(0)  # most cells of a large coupling
         return tuple(tuple(Fraction(x, den) if x else zero for x in row) for row in self.cells)
-
-
-@dataclass(frozen=True)
-class MajorizationCheck:
-    """Outcome of a majorization test; truthy iff the relation holds.
-
-    On failure `witness` is the smallest prefix length (1-based) whose
-    ascending prefix sum violates the dominance, or n when only the total
-    sums differ.
-    """
-
-    holds: bool
-    witness: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_majorization(a: UniformGrid, b: UniformGrid) -> MajorizationCheck:
-    """True iff the grids have equal totals and every ascending prefix sum
-    of `a` is at least that of `b`: one running sum of b - a over the
-    integer numerators of both grids on one common denominator."""
-    if a.n != b.n:
-        raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
-    n = a.n
-    nums, _ = common_scale(a.values + b.values)
-    for j, excess in enumerate(accumulate(map(sub, nums[n:], nums[:n])), start=1):
-        if excess > 0:
-            return MajorizationCheck(False, j)
-    if excess:
-        return MajorizationCheck(False, n)
-    return MajorizationCheck(True)
 
 
 def verify_div1_certificate(

@@ -3,6 +3,9 @@
 Everything here works on the step quantile function of a
 :class:`~divcert.dist.SimpleDist`: tail integrals are sums of full steps
 plus one exact partial step, so no interpolation error exists anywhere.
+Second-order dominance is decided here, by `ssd_violation`: like the
+other order scans in `divcert.dominance`, it returns its first witness
+or None, and it reads the gap integral only up to that witness.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .dist import SimpleDist, as_rational, quantile_steps
 
@@ -86,22 +90,23 @@ def es_curve(d: SimpleDist) -> ESCurve:
 
 def _gap_at_breakpoints(
     xi: SimpleDist, eta: SimpleDist
-) -> list[tuple[Fraction, Fraction]]:
-    """(alpha, G(alpha)) at every merged breakpoint, where G(alpha) is the
-    integral of (q_eta - q_xi) over (0, alpha].  G is piecewise linear
-    with kinks only at these points and G(0) = 0.
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """Yield (alpha, G(alpha)) at every merged breakpoint in turn, where
+    G(alpha) is the integral of (q_eta - q_xi) over (0, alpha].  G is
+    piecewise linear with kinks only at these points and G(0) = 0.  The
+    gaps are made lazily, so a scan that stops early reads no further
+    step.
     """
-    out = []
     gap = Fraction(0)
     for level, width, qx, qe in quantile_steps(xi, eta):
         gap += (qe - qx) * width
-        out.append((level, gap))
-    return out
+        yield level, gap
 
 
 def ssd_violation(xi: SimpleDist, eta: SimpleDist) -> Fraction | None:
     """Smallest breakpoint alpha at which the quantile-gap integral
-    G(alpha) is positive, or None when xi second-order dominates eta."""
+    G(alpha) is positive, or None when xi second-order dominates eta.
+    The scan stops at that first positive gap."""
     return next((alpha for alpha, gap in _gap_at_breakpoints(xi, eta) if gap > 0), None)
 
 

@@ -41,7 +41,6 @@ from divcert import (
     DecompositionResult,
     JointDist,
     LiftResult,
-    MajorizationCheck,
     MajorizationError,
     MartingaleCoupling,
     PermutationCertificate,
@@ -402,9 +401,10 @@ def naive_as_rational(x) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to a rational")
 
 
-def naive_check_majorization(a: UniformGrid, b: UniformGrid) -> MajorizationCheck:
-    """check_majorization with the two ascending prefix sums kept as
-    Fractions, one addition per slot."""
+def naive_check_majorization(a: UniformGrid, b: UniformGrid) -> int | None:
+    """majorization_violation with the two ascending prefix sums kept as
+    Fractions, one addition per slot: the first violating prefix length,
+    n when only the totals differ, None when `a` majorizes `b`."""
     if a.n != b.n:
         raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
     prefix_a = Fraction(0)
@@ -413,18 +413,18 @@ def naive_check_majorization(a: UniformGrid, b: UniformGrid) -> MajorizationChec
         prefix_a += va
         prefix_b += vb
         if prefix_a < prefix_b:
-            return MajorizationCheck(False, j)
+            return j
     if prefix_a != prefix_b:
-        return MajorizationCheck(False, a.n)
-    return MajorizationCheck(True)
+        return a.n
+    return None
 
 
 def naive_t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     """t_transform_chain on Fractions, rescanning for the smallest surplus
     index from i + 1 at every step."""
-    maj = naive_check_majorization(a, b)
-    if not maj:
-        raise MajorizationError(maj.witness)
+    witness = naive_check_majorization(a, b)
+    if witness is not None:
+        raise MajorizationError(witness)
     n = a.n
     c = list(b.values)
     target = a.values

@@ -79,6 +79,24 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["witness"]["prefix_index"] == 1
 
+    def test_reports_are_byte_identical_to_the_recorded_digest(self, files, capsys):
+        """One report per relation and outcome: the holds/witness tail is
+        written the same way for all three relations."""
+        runs = [
+            ("ssd", "zero", "coin"), ("ssd", "coin", "zero"),
+            ("fsd", "two", "zero"), ("fsd", "coin", "zero"),
+            ("majorization", "two", "pair13"), ("majorization", "pair13", "two"),
+        ]
+        codes = []
+        digest = hashlib.sha256()
+        for relation, a, b in runs:
+            codes.append(main(["check", relation, files[a], files[b]]))
+            digest.update(capsys.readouterr().out.encode())
+        assert codes == [0, 1, 0, 1, 0, 1]
+        assert digest.hexdigest() == (
+            "02d2cc7a370aa05cbdae0fe67120755ff63a5431c37d016d26dba9d09dade1e4"
+        )
+
     def test_missing_file(self, files, capsys):
         assert main(["check", "ssd", files["zero"], str(files["tmp"] / "nope.json")]) == 2
 

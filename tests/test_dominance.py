@@ -3,6 +3,7 @@
 import ast
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
@@ -20,6 +21,8 @@ from divcert import (
     common_refinement,
     dirac,
     fsd_violation,
+    majorization_violation,
+    ssd_violation,
     verify_div1_certificate,
     verify_div2_instance,
 )
@@ -116,16 +119,17 @@ class TestMajorization:
     def test_basic(self):
         a = UniformGrid.from_values([2, 2])
         b = UniformGrid.from_values([1, 3])
-        assert check_majorization(a, b)
-        failed = check_majorization(b, a)
-        assert not failed and failed.witness == 1
+        assert check_majorization(a, b) is True
+        assert majorization_violation(a, b) is None
+        assert check_majorization(b, a) is False
+        assert majorization_violation(b, a) == 1
         assert check_majorization(a, a)
 
     def test_unequal_totals_witness_is_last_index(self):
         a = UniformGrid.from_values([2, 3])
         b = UniformGrid.from_values([1, 3])
-        failed = check_majorization(a, b)
-        assert not failed and failed.witness == 2
+        assert not check_majorization(a, b)
+        assert majorization_violation(a, b) == 2
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -139,6 +143,26 @@ class TestMajorization:
             a, b = helpers.equal_mean_pair(rng)
             ga, gb = common_refinement(a, b)
             assert bool(check_majorization(ga, gb)) == check_ssd(a, b)
+
+    def test_witness_agrees_with_the_ssd_witness(self):
+        """With equal means, the first violating prefix j of the common
+        grids of size n sits in the quantile step of the first positive
+        gap: the SSD witness is the least cumulative probability of a or
+        b that is at least j/n."""
+        rng = random.Random(7)
+        refused = 0
+        for _ in range(3000):
+            a, b = helpers.equal_mean_pair(rng)
+            ga, gb = common_refinement(a, b)
+            j = majorization_violation(ga, gb)
+            alpha = ssd_violation(a, b)
+            assert (j is None) == (alpha is None)
+            if j is None:
+                continue
+            refused += 1
+            levels = set(accumulate(a.probs)) | set(accumulate(b.probs))
+            assert alpha == min(level for level in levels if level >= F(j, ga.n))
+        assert refused > 0
 
 
 class TestVerifiers:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import divcert.risk
 import helpers
 import oracles
 from divcert import (
@@ -19,6 +20,7 @@ from divcert import (
     tail_integral,
 )
 from divcert.demo import gamma_mean_quantile_dist
+from divcert.dist import quantile_steps
 
 COIN = SimpleDist.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
 
@@ -145,6 +147,21 @@ class TestSsdGap:
             ]
             assert all(v <= gap for v in seen)
             assert gap == 0 or gap in seen
+
+
+class TestSsdViolation:
+    def test_stops_at_the_first_positive_gap(self, monkeypatch):
+        read = []
+
+        def counted(xi, eta):
+            for step in quantile_steps(xi, eta):
+                read.append(step)
+                yield step
+
+        monkeypatch.setattr(divcert.risk, "quantile_steps", counted)
+        assert ssd_violation(COIN, dirac(0)) == F(1, 2)
+        assert len(read) == 1
+        assert len(list(quantile_steps(COIN, dirac(0)))) == 2
 
 
 class TestLlnStages:

@@ -63,7 +63,7 @@ class TestFoldsEqualTheMergeLoops:
         a, b = pair
         for xi, eta in ((a, b), (b, a)):
             naive_gaps = oracles.naive_gap_at_breakpoints(xi, eta)
-            assert _gap_at_breakpoints(xi, eta) == naive_gaps
+            assert list(_gap_at_breakpoints(xi, eta)) == naive_gaps
             assert ssd_violation(xi, eta) == next(
                 (level for level, gap in naive_gaps if gap > 0), None
             )
