@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from fractions import Fraction
@@ -61,8 +62,10 @@ def cmd_check(args) -> int:
     if args.relation == "fsd":
         key, witness = "cdf_crossing_above", fsd_violation(a, b)
     elif args.relation == "ssd":
-        report["gap"] = rational_obj(ssd_gap(a, b))
-        key, witness = "alpha", ssd_violation(a, b)
+        gap = ssd_gap(a, b)
+        report["gap"] = rational_obj(gap)
+        # the gap is 0 exactly when no breakpoint gap is positive
+        key, witness = "alpha", ssd_violation(a, b) if gap > 0 else None
     else:  # majorization, on the common uniform refinement
         ga, gb = common_refinement(a, b)
         report["grid_size"] = ga.n
@@ -182,7 +185,13 @@ def cmd_demo_lln(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one `divcert` parser of this process, built on first use.
+
+    Parsing leaves no state on it: every `parse_args` call fills a new
+    namespace, so `main` can reuse it call after call.
+    """
     parser = argparse.ArgumentParser(
         prog="divcert",
         description="Exact dominance tests, Expected Shortfall and "
@@ -242,8 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one `divcert` command and return its exit code.
+
+    May be called many times in one process; a usage error raises
+    SystemExit(2), as argparse does.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # a JSON or grid-cap error is a ValueError

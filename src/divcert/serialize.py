@@ -178,7 +178,9 @@ def _check_plain(x) -> None:
     elif not isinstance(x, (list, tuple)):
         return
     for v in x:
-        _check_plain(v)
+        # str and int (bool too) leaves are plain: no call for them
+        if not isinstance(v, (str, int)):
+            _check_plain(v)
 
 
 def dumps(obj) -> str:

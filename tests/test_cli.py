@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, wire outputs."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -249,6 +250,59 @@ class TestOtherCommands:
         assert main(["quantize", str(third), "--denominator", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == dist_to_obj(dirac(F(1, 2)))
+
+
+class TestRepeatedCalls:
+    """`main` runs many commands in one process on one parser."""
+
+    def test_a_usage_error_leaves_the_next_call_unchanged(self, files, capsys):
+        certify_argv = ["certify", files["two"], files["pair13"]]
+        assert main(certify_argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["es", files["coin"]])  # --alpha is required
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert main(certify_argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_out_is_not_carried_into_a_later_call(self, files, capsys):
+        out_path = files["tmp"] / "cert.json"
+        argv = ["certify", files["two"], files["pair13"]]
+        assert main(argv + ["--out", str(out_path)]) == 0
+        written = out_path.read_text()
+        out_path.unlink()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == written
+        assert not out_path.exists()
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        for name in ("check", "es", "kantorovich", "certify", "mps", "lift",
+                     "decompose", "mix", "quantize", "demo-lln"):
+            assert name in texts[0]
+
+    def test_the_parser_is_built_once(self, files, capsys, monkeypatch):
+        argv = ["check", "ssd", files["zero"], files["coin"]]
+        assert main(argv) == 0  # builds the parser if no earlier call has
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (argv, ["es", files["two"], "--alpha", "1"],
+                     ["certify", files["two"], files["pair13"]]):
+            assert main(argv) == 0
+        assert built == []
 
 
 class TestBadInput:

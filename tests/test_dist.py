@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -134,6 +135,10 @@ class TestSimpleDist:
         with pytest.raises(ValueError):
             SimpleDist(((F(1), F(1, 2)), (F(0), F(1, 2))))  # not sorted
 
+    def test_refuses_two_atoms_of_equal_value(self):
+        with pytest.raises(ValueError, match="values must be strictly increasing"):
+            SimpleDist(((F(0), F(1, 2)), (F(0), F(1, 2))))
+
     def test_mean(self):
         assert SimpleDist.from_pairs([(-1, F(1, 2)), (1, F(1, 2))]).mean() == 0
         assert dirac(F(7, 3)).mean() == F(7, 3)
@@ -259,6 +264,20 @@ class TestJoint:
         j = JointDist.from_pairs([((1, 3), F(1, 2)), ((3, 1), F(1, 2))])
         with pytest.raises(ValueError):
             convex_combination(j, [1])
+
+    def test_refuses_atoms_of_no_coordinate(self):
+        with pytest.raises(ValueError, match="joint distributions need at least one coordinate"):
+            JointDist(rows=((),), vden=1, masses=(1,), pden=1)
+
+    @pytest.mark.parametrize("masses, vden, pden", [
+        ((1, 1), 1, 2),  # two masses for one atom; they sum to pden
+        ((1,), 0, 1),
+        ((1,), 1, 0),
+    ], ids=["mass_count", "vden", "pden"])
+    def test_refuses_each_scale_rule_alone(self, masses, vden, pden):
+        message = "a joint needs one mass per atom and positive denominators"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointDist(rows=((0,),), vden=vden, masses=masses, pden=pden)
 
 
 class TestIngest:

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import re
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -11,9 +12,11 @@ import helpers
 import oracles
 from divcert import (
     JointDist,
+    MartingaleCoupling,
     certify_div1,
     PermutationCertificate,
     SimpleDist,
+    TTransform,
     UniformGrid,
     check_fsd,
     check_majorization,
@@ -232,6 +235,24 @@ class TestVerifiers:
             assert verify_div1_certificate(xi, eta, cert)
             assert check_ssd(xi, eta)
             assert xi.mean() == eta.mean()
+
+
+class TestRefusalRules:
+    """Each witness validator refuses these integer-constructor inputs by
+    one rule alone; every other rule passes on them."""
+
+    def test_transform_refuses_i_equal_to_j(self):
+        with pytest.raises(ValueError, match=re.escape("need 0 <= i < j")):
+            TTransform(1, 1, F(1, 2))
+
+    def test_certificate_refuses_an_empty_grid(self):
+        with pytest.raises(ValueError, match="grid size must be positive"):
+            PermutationCertificate(n=0, terms=(((), F(1)),))
+
+    def test_coupling_refuses_a_zero_denominator(self):
+        with pytest.raises(ValueError, match="the cell denominator must be positive"):
+            MartingaleCoupling(n=1, cells=((0,),), den=0,
+                               row_values=(F(0),), col_values=(F(0),))
 
 
 class TestVerifierDesign:
