@@ -65,7 +65,6 @@ from .dominance import (
     MartingaleCoupling,
     PermutationCertificate,
     TTransform,
-    check_majorization,
     majorization_violation,
 )
 from .matching import lex_min_perfect_matching
@@ -85,9 +84,10 @@ CERTIFY_SLOT_CAP = 1024
 #: slot cap alone does not bound the work, which follows the size of the
 #: common denominator L and the nonzero cells of D: one n = 1024 pair
 #: spent 254 s in the product (L of 65,251 bits) and its peel did not
-#: finish.  That pair crosses this bound at its 65th transfer and fails
-#: with GridCapError at once; the largest L the test suite builds has
-#: 588 bits.
+#: finish.  The pair the test suite builds from the LLN demo's first two
+#: stages on 1024 points (L of 66,611 bits) crosses this bound at its
+#: 64th of 1,023 transfers and fails with GridCapError at once; the
+#: largest L the test suite certifies has 588 bits.
 CERTIFY_DENOMINATOR_BITS = 4096
 
 
@@ -166,6 +166,14 @@ def t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     a[j] and raises c[i] to no more than a[i], so no index ever gains a
     surplus and the surplus pointer j never moves back.
 
+    The pass is also the majorization check.  Under majorization no slot
+    holds a surplus at its own turn and every deficit finds a surplus
+    slot after it; a chain that completes gives a = D b with D doubly
+    stochastic, which implies majorization.  So the pass raises
+    MajorizationError, with `majorization_violation`'s witness, exactly
+    when a is not majorized by b, unequal totals included (the last
+    slot is then left with a surplus or a deficit).
+
     Every share s = t / (c[j] - c[i]) lies strictly between 0 and 1: t > 0
     and c[j] > a[j] >= a[i] > c[i].  If s = 1, then either a[i] = c[j] >
     a[j] >= a[i], or a[j] = c[i] < a[i] <= a[j]; both are contradictions.
@@ -173,26 +181,26 @@ def t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     supports, supports only grow, and the support of each block of D is
     connected.
     """
-    # check_majorization is the stage perfbench times; the scan runs again
-    # for its witness only on a refusal
-    if not check_majorization(a, b):
-        raise MajorizationError(majorization_violation(a, b))
+    if a.n != b.n:
+        raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
     n = a.n
     nums, _ = common_scale(a.values + b.values)
     target, c = nums[:n], nums[n:]
     transforms = []
     j = 0
     for i in range(n):
+        if c[i] > target[i]:
+            raise MajorizationError(majorization_violation(a, b))
         while c[i] != target[i]:
             j = max(j, i + 1)
-            while c[j] <= target[j]:
+            while j < n and c[j] <= target[j]:
                 j += 1
+            if j == n:
+                raise MajorizationError(majorization_violation(a, b))
             t = min(target[i] - c[i], c[j] - target[j])
             transforms.append(TTransform(i, j, Fraction(t, c[j] - c[i])))
             c[i] += t
             c[j] -= t
-    if c != target:
-        raise AssertionError("transfer loop failed to settle all indices")
     return tuple(transforms)
 
 

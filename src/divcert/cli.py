@@ -173,14 +173,13 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_demo_lln(args) -> int:
-    rows = demo.lln_table(args.max_doublings, as_rational(args.alpha),
-                          args.grid, args.seed)
+    rows = demo.lln_table(args.max_doublings, as_rational(args.alpha), args.grid)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "es", "es_decimal", "kappa", "kappa_decimal"])
-    for row in rows:
-        writer.writerow([row.n, rational_str(row.es), decimal_str(row.es),
-                         rational_str(row.kappa), decimal_str(row.kappa)])
+    for n, es, kappa in rows:
+        writer.writerow([n, rational_str(es), decimal_str(es),
+                         rational_str(kappa), decimal_str(kappa)])
     _emit(buf.getvalue(), args.out)
     return OK
 
@@ -241,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-doublings", type=int, default=6)
     p.add_argument("--alpha", default="1/20")
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=None,
-                   help="switch to seeded sampling instead of the deterministic grid")
     p.set_defaults(func=cmd_demo_lln)
 
     for p in sub.choices.values():

@@ -28,6 +28,8 @@ Fractions at every step (naive_t_transform_chain), the majorization
 test that kept two Fraction prefix sums (naive_check_majorization), and
 the transfer product that updated full n-wide rows for every transfer
 before it was held block by block (naive_scaled_transfer_rows).
+The Erlang CDF that the LLN demo inverts is bracketed here from a Taylor
+bound on e^x in exact integers (erlang_cdf_bounds), with no decimal code.
 """
 
 from __future__ import annotations
@@ -399,6 +401,32 @@ def naive_as_rational(x) -> Fraction:
             raise ValueError(f"cannot represent non-finite value {x!r}")
         return Fraction(x)
     raise TypeError(f"cannot convert {type(x).__name__} to a rational")
+
+
+def erlang_cdf_bounds(n: int, x) -> tuple[Fraction, Fraction]:
+    """Rational bounds lo <= P(n, x) <= hi on the Erlang CDF
+    P(n, x) = 1 - e^-x * sum_{k<n} x^k/k! at a rational x >= 0.
+
+    e^x lies between its Taylor polynomial T_m(x) and T_m(x) plus
+    x^(m+1)/(m+1)! * (m+2)/(m+2-x), the tail summed as a geometric series
+    of ratio x/(m+2); m >= 2x + 60 makes that tail negligible.  All terms
+    are integers over the common denominator b^m m! of x = a/b.
+    """
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("x must be non-negative")
+    a, b = x.numerator, x.denominator
+    m = max(n, 2 * math.ceil(x) + 60)
+    term = b**m * math.factorial(m)  # x^k/k! * b^m m! at k = 0
+    head = total = 0
+    for k in range(m + 1):
+        if k < n:
+            head += term
+        total += term
+        if k < m:
+            term = term * a // (b * (k + 1))
+    tail = Fraction(a ** (m + 1) * (m + 2), (m + 1) * ((m + 2) * b - a))
+    return 1 - Fraction(head, total), 1 - head / (total + tail)
 
 
 def naive_check_majorization(a: UniformGrid, b: UniformGrid) -> int | None:

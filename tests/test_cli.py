@@ -401,8 +401,10 @@ class TestBadInput:
         assert f"cap of {certify.CERTIFY_SLOT_CAP}" in err
 
     def test_certify_denominator_bound(self, files, capsys, monkeypatch):
-        # n = 1024 passes the slot cap, yet its transfer product ran 254 s
-        # (L of 65,251 bits) and its peel did not finish
+        # n = 1024 passes the slot cap, yet the product of its 1,023 transfers
+        # needs an L of 66,611 bits; the bound stops it at transfer 64 (a
+        # pair with an L of 65,251 bits ran 254 s in the product, and its
+        # peel did not finish)
         eta = demo.gamma_mean_quantile_dist(1, 1024)
         zeta = decompose_ssd(demo.gamma_mean_quantile_dist(2, 1024), eta).zeta
         paths = []
@@ -459,13 +461,22 @@ class TestDemo:
         kappas = [F(r["kappa"]) for r in rows]
         assert kappas == sorted(kappas, reverse=True)
 
-    def test_seeded_mode(self, capsys):
-        assert main(["demo-lln", "--max-doublings", "1", "--grid", "32",
-                     "--seed", "7"]) == 0
-        first = capsys.readouterr().out
-        assert main(["demo-lln", "--max-doublings", "1", "--grid", "32",
-                     "--seed", "7"]) == 0
-        assert capsys.readouterr().out == first
+    def test_small_table_is_byte_identical_to_the_recorded_digest(self, capsys, monkeypatch):
+        # the table needs no scipy: a None entry in sys.modules makes
+        # `import scipy` raise ImportError
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        assert main(["demo-lln", "--max-doublings", "2", "--grid", "64",
+                     "--alpha", "1/20"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "b6b7788a20dfbf9f5cbe6cdcfdbb048c358c36b6f17b33b6f170dd20fa560dd8"
+        )
+
+    def test_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-lln", "--max-doublings", "1", "--grid", "32", "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_invalid_parameters(self, capsys):
         assert main(["demo-lln", "--max-doublings", "-1"]) == 2
@@ -476,19 +487,28 @@ class TestDemo:
             raise AssertionError("the limits must refuse the table before any stage")
 
         monkeypatch.setattr(demo, "gamma_mean_quantile_dist", no_stage)
-        monkeypatch.setattr(demo, "sampled_mean_dist", no_stage)
-        too_deep = str(demo.MAX_DOUBLINGS + 1)
-        assert main(["demo-lln", "--max-doublings", too_deep, "--grid", "2"]) == 2
-        assert capsys.readouterr().err.startswith("error: max_doublings")
-        assert main(["demo-lln", "--max-doublings", "30", "--grid", "64", "--seed", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: sampling 30 doublings")
+        assert main(["demo-lln", "--max-doublings", "30", "--grid", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 30 doublings")
+        assert f"MAX_POISSON_TERMS = {demo.MAX_POISSON_TERMS}" in err
+        start = time.perf_counter()
+        assert main(["demo-lln", "--max-doublings", "1000000000", "--grid", "2"]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_poisson_term_bound_admits_its_own_value(self, capsys, monkeypatch):
+        # grid * (2**(max_doublings + 1) - 1) = 2 * 15 at 3 doublings on 2 points
+        monkeypatch.setattr(demo, "MAX_POISSON_TERMS", 30)
+        monkeypatch.setattr(demo, "gamma_mean_quantile_dist", lambda n, grid: dirac(1))
+        assert main(["demo-lln", "--max-doublings", "3", "--grid", "2"]) == 0
+        assert main(["demo-lln", "--max-doublings", "4", "--grid", "2"]) == 2
+        assert "MAX_POISSON_TERMS = 30" in capsys.readouterr().err
 
     def test_grid_point_bound_fails_before_any_stage(self, capsys, monkeypatch):
         def no_stage(*args):
             raise AssertionError("the bound must refuse the table before any stage")
 
         monkeypatch.setattr(demo, "gamma_mean_quantile_dist", no_stage)
-        monkeypatch.setattr(demo, "sampled_mean_dist", no_stage)
         start = time.perf_counter()
         assert main(["demo-lln", "--grid", "100000000"]) == 2
         assert time.perf_counter() - start < 2.0

@@ -173,3 +173,17 @@ class TestLlnStages:
             assert ssd_violation(fine, coarse) is None
             assert ssd_violation(coarse, fine) is not None
             assert fine.mean() != coarse.mean()
+
+    def test_quantiles_solve_the_erlang_cdf(self):
+        # every midpoint u = (2k+1)/128 lies strictly between the CDF of the
+        # sum of n exponentials just below and just above its quantile
+        eps = F(1, 10**14)
+        for n in (1, 2, 4):
+            atoms = gamma_mean_quantile_dist(n, 64).atoms
+            assert len(atoms) == 64
+            for k, (value, prob) in enumerate(atoms):
+                assert prob == F(1, 64)
+                u = F(2 * k + 1, 128)
+                root = value * n
+                assert oracles.erlang_cdf_bounds(n, root * (1 - eps))[1] < u
+                assert u < oracles.erlang_cdf_bounds(n, root * (1 + eps))[0]
