@@ -35,7 +35,6 @@ from .dist import (
     from_samples,
     mixture,
     quantize_values,
-    regrid,
     simplex_weights,
 )
 from .dominance import (
@@ -100,7 +99,6 @@ __all__ = [
     "mixture",
     "mps_coupling",
     "quantize_values",
-    "regrid",
     "simplex_weights",
     "ssd_gap",
     "ssd_violation",

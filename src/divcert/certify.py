@@ -58,8 +58,8 @@ from .dist import (
     SimpleDist,
     UniformGrid,
     _dist_on_scale,
+    _slot_scale,
     common_refinement,
-    common_scale,
 )
 from .dominance import (
     MartingaleCoupling,
@@ -184,8 +184,7 @@ def t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     if a.n != b.n:
         raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
     n = a.n
-    nums, _ = common_scale(a.values + b.values)
-    target, c = nums[:n], nums[n:]
+    (target, c), _ = _slot_scale(a, b)
     transforms = []
     j = 0
     for i in range(n):
@@ -429,7 +428,7 @@ def _certificate(
     those integers order and merge the vectors exactly as the values do.
     """
     cert = PermutationCertificate(n=a.n, terms=tuple(_peel_scaled(blocks, L)))
-    bnums, bden = common_scale(b.values)
+    (bnums,), bden = _slot_scale(b)
     counts = Counter(zip(*([bnums[src] for src in perm] for perm, _ in cert.terms)))
     vectors = sorted(counts)
     joint = JointDist(tuple(vectors), bden, tuple(map(counts.__getitem__, vectors)), a.n)
@@ -486,8 +485,7 @@ def lift_delta_gamma(xi: SimpleDist, eta: SimpleDist) -> LiftResult:
     """
     gx, gy = common_refinement(xi, eta)
     n = gx.n
-    nums, den = common_scale(gx.values + gy.values)
-    xnums, ynums = nums[:n], nums[n:]
+    (xnums, ynums), den = _slot_scale(gx, gy)
     prefix = list(accumulate(map(sub, ynums, xnums)))  # S_1 .. S_n
     peaks = list(accumulate(prefix, max, initial=0))  # M_0 = 0, M_1 .. M_n
     slack = list(map(sub, peaks[1:], peaks))

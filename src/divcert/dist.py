@@ -31,6 +31,14 @@ n = 64 pairs of the certify benchmark, a vector of about 180 cells holds
 about 8.3 runs.  A vector with no two neighbours equal is the worst
 case, every cell a run of its own, where the cut is pure overhead.
 
+A uniform grid is a law on n equally likely slots (`UniformGrid`): its
+state is the law and n, and every probability must be a multiple of
+1/n.  The n slot values are derived from them.  Integer consumers (the
+transfer chain, the majorization scan, the lift, the certificate's joint
+law and the div-1 verifier) read them through `_slot_scale`, which
+scales each distinct value once and repeats its numerator over the
+atom's slots; the Fraction `values` are built only on first use.
+
 `as_rational` keeps no memo of the strings it has parsed, though a parsed
 bundle repeats a few values thousands of times: in a prototype, a
 per-document memo raised the audit benchmark's ops/s by about 90 % but
@@ -49,7 +57,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import attrgetter, gt, mul, ne, sub
+from operator import attrgetter, mul, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 #: Default slot cap of expand_to_uniform_grid and common_refinement, and so
@@ -323,62 +331,53 @@ def from_samples(xs: Sequence) -> SimpleDist:
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """n equally likely values (probability 1/n each), sorted non-decreasing.
+    """A law on n equally likely slots: `dist` seen at resolution 1/n.
 
-    Repeats are allowed; the grid is the slot-level view of a distribution
-    whose probabilities all have denominator dividing n.
+    Every probability of `dist` must be a multiple of 1/n, so an atom of
+    probability k/n fills k slots.  The state is the pair (dist, n), so
+    equal grids are equal objects.  The slot view is derived: `values`,
+    the n slot values sorted non-decreasing as Fractions, is built on
+    first use, and `_slot_scale` gives integer consumers the slot values
+    as numerators without it.
     """
 
-    values: tuple[Fraction, ...]
+    dist: SimpleDist
+    n: int
 
     def __post_init__(self):
-        values = self.values
-        if not values:
-            raise ValueError("a grid needs at least one value")
-        if all(map(isinstance, values, repeat(Fraction))):
-            nums, _ = common_scale(values)
-            if any(map(gt, nums, nums[1:])):
-                raise ValueError("grid values must be sorted non-decreasing")
-            return
-        # some value is no Fraction: check the order first, by the values'
-        # own comparisons (a TypeError where they do not compare), then the type
-        for prev, cur in zip(values, values[1:]):
-            if cur < prev:
-                raise ValueError("grid values must be sorted non-decreasing")
-        raise ValueError("grid values must be Fractions")
+        n = self.n
+        if n < 1:
+            raise ValueError("grid size must be positive")
+        if any(n % p.denominator for p in self.dist.probs):
+            raise ValueError(f"distribution does not fit on a grid of {n} slots")
 
     @staticmethod
     def from_values(values: Iterable) -> "UniformGrid":
-        return UniformGrid(tuple(sorted(as_rational(v) for v in values)))
+        """The grid of one slot per value."""
+        values = list(values)
+        if not values:
+            raise ValueError("a grid needs at least one value")
+        return UniformGrid(from_samples(values), len(values))
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
+    def _counts(self) -> list[int]:
+        """The slots of each atom of `dist`."""
+        n = self.n
+        return [n // p.denominator * p.numerator for p in self.dist.probs]
 
-    def to_dist(self) -> SimpleDist:
-        w = Fraction(1, self.n)
-        return SimpleDist.from_pairs((v, w) for v in self.values)
-
-    def mean(self) -> Fraction:
-        return Fraction(sum(self.values), self.n)
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(chain.from_iterable(map(repeat, self.dist.values, self._counts())))
 
 
-def regrid(d: SimpleDist, n: int) -> UniformGrid:
-    """Represent `d` on a uniform grid of exactly n slots.
-
-    Each atom must carry probability k/n for integer k; otherwise the
-    distribution is not representable at this resolution and ValueError
-    is raised.
-    """
-    if n < 1:
-        raise ValueError("grid size must be positive")
-    values: list[Fraction] = []
-    for value, prob in d.atoms:
-        count = prob * n
-        if count.denominator != 1:
-            raise ValueError(f"distribution does not fit on a grid of {n} slots")
-        values.extend([value] * int(count))
-    return UniformGrid(tuple(values))
+def _slot_scale(*grids: UniformGrid) -> tuple[list[list[int]], int]:
+    """The slot values of `grids` as integer numerators over their least
+    common denominator, one row per grid, and that denominator.  Each
+    distinct value is scaled once and its numerator repeated over its
+    slots, so no slot becomes a Fraction."""
+    rows, den = _scale_rows([g.dist.values for g in grids])
+    return [
+        list(chain.from_iterable(map(repeat, row, g._counts()))) for row, g in zip(rows, grids)
+    ], den
 
 
 def _grid_size(probs: Sequence[Fraction], cap: int) -> int:
@@ -397,7 +396,7 @@ def expand_to_uniform_grid(d: SimpleDist, cap: int = DEFAULT_GRID_CAP) -> Unifor
     """Smallest uniform-grid representation of `d` (n = lcm of probability
     denominators).  Refuses grids above `cap` atoms; quantize the
     probabilities first if that happens."""
-    return regrid(d, _grid_size(d.probs, cap))
+    return UniformGrid(d, _grid_size(d.probs, cap))
 
 
 def common_refinement(
@@ -405,7 +404,7 @@ def common_refinement(
 ) -> tuple[UniformGrid, UniformGrid]:
     """Uniform grids of a shared size representing `a` and `b` exactly."""
     n = _grid_size(a.probs + b.probs, cap)
-    return regrid(a, n), regrid(b, n)
+    return UniformGrid(a, n), UniformGrid(b, n)
 
 
 def mixture(ds: Sequence[SimpleDist], weights: Sequence) -> SimpleDist:

@@ -50,9 +50,9 @@ from .dist import (
     _least_scale,
     _runs,
     _scale_rows,
+    _slot_scale,
     cdf_steps,
     common_scale,
-    regrid,
 )
 from .risk import ssd_violation
 
@@ -87,15 +87,14 @@ def majorization_violation(a: UniformGrid, b: UniformGrid) -> int | None:
     """Smallest prefix length j (1-based) at which the ascending prefix sum
     of `b` exceeds that of `a`, or n when only the totals differ; None
     when `a` majorizes `b`.  One running sum of b - a over the integer
-    numerators of both grids on one common denominator."""
+    numerators of both grids' slots on one common denominator."""
     if a.n != b.n:
         raise ValueError(f"grid sizes differ: {a.n} vs {b.n}")
-    n = a.n
-    nums, _ = common_scale(a.values + b.values)
-    for j, excess in enumerate(accumulate(map(sub, nums[n:], nums[:n])), start=1):
+    (anums, bnums), _ = _slot_scale(a, b)
+    for j, excess in enumerate(accumulate(map(sub, bnums, anums)), start=1):
         if excess > 0:
             return j
-    return n if excess else None
+    return a.n if excess else None
 
 
 def check_majorization(a: UniformGrid, b: UniformGrid) -> bool:
@@ -170,17 +169,17 @@ class PermutationCertificate:
 
     def combine(self, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         """Slot-wise weighted combination sum_k w_k * values[perm_k[i]]."""
-        acc, scale = self._combine_on_scale(values)
+        acc, scale = self._combine_on_scale(*common_scale(values))
         return tuple(Fraction(a, scale) for a in acc)
 
-    def _combine_on_scale(self, values: Sequence[Fraction]) -> tuple[list[int], int]:
-        """`combine` as numerators over one denominator.  Slot i folds over
-        the runs of equal adjacent sources in its column (perm_k[i])_k, each
-        run weighted by a difference of the weights' prefix sums."""
-        if len(values) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(values)}")
+    def _combine_on_scale(self, vnums: Sequence[int], vden: int) -> tuple[list[int], int]:
+        """`combine` of the values vnums[i] / vden, as numerators over one
+        denominator.  Slot i folds over the runs of equal adjacent sources
+        in its column (perm_k[i])_k, each run weighted by a difference of
+        the weights' prefix sums."""
+        if len(vnums) != self.n:
+            raise ValueError(f"expected {self.n} values, got {len(vnums)}")
         cum, wden = self._weight_scale
-        vnums, vden = common_scale(values)
         acc = []
         for column in zip(*(perm for perm, _ in self.terms)):
             sources, weights = _runs(column, cum)
@@ -267,12 +266,13 @@ def verify_div1_certificate(
     returns False on reconstruction mismatch.
     """
     try:
-        grid = regrid(eta, cert.n)
+        grid = UniformGrid(eta, cert.n)
     except ValueError as exc:
         raise ValueError(
             f"certificate grid size {cert.n} is incompatible with eta"
         ) from exc
-    acc, scale = cert._combine_on_scale(grid.values)
+    (vnums,), vden = _slot_scale(grid)
+    acc, scale = cert._combine_on_scale(vnums, vden)
     return _dist_on_scale(Counter(acc), scale, cert.n) == xi
 
 

@@ -101,8 +101,8 @@ def spread_pair(
             else:
                 spread.extend([v, v])
         eta_vals = spread
-    xi = UniformGrid.from_values(xi_vals).to_dist()
-    eta = UniformGrid.from_values(sorted(eta_vals)).to_dist()
+    xi = UniformGrid.from_values(xi_vals).dist
+    eta = UniformGrid.from_values(sorted(eta_vals)).dist
     return xi, eta
 
 

@@ -15,8 +15,9 @@ transport and dominance used before they became folds over the walkers
 in `divcert.dist` (naive_gap_at_breakpoints through naive_tail_integral),
 and the step-by-step recurrences behind the lift and the SSD split before
 they became closed forms (naive_lift_delta_gamma, naive_decompose_ssd).
-The validator loops of SimpleDist and UniformGrid before they checked on
-integer numerators (naive_validate_dist, naive_validate_grid), and the
+The validator loop of SimpleDist before it checked on integer numerators
+(naive_validate_dist), the loop that listed a law's slot values before
+a uniform grid held the law and its slot count (naive_regrid), and the
 JSON trees of the three witnesses, one rational_str per cell, that
 `divcert certify` passed to `dumps` before its writers rendered the
 integer views straight to text (certificate_to_obj, naive_joint_to_obj,
@@ -53,7 +54,6 @@ from divcert import (
     common_refinement,
     expand_to_uniform_grid,
     as_rational,
-    regrid,
     ssd_violation,
 )
 from divcert import certify
@@ -123,10 +123,8 @@ def kantorovich_by_grid(a: SimpleDist, b: SimpleDist) -> Fraction:
     """Transport distance via the sorted slot coupling on a common
     uniform refinement."""
     n = math.lcm(*(p.denominator for p in a.probs + b.probs))
-    ga = regrid(a, n)
-    gb = regrid(b, n)
     return sum(
-        (abs(x - y) for x, y in zip(ga.values, gb.values)), Fraction(0)
+        (abs(x - y) for x, y in zip(naive_regrid(a, n), naive_regrid(b, n))), Fraction(0)
     ) / n
 
 
@@ -517,17 +515,18 @@ def naive_scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[list[lis
     return rows, L
 
 
-def naive_validate_grid(values) -> None:
-    """Raise ValueError unless `values` are non-decreasing by Fraction
-    comparisons, then unless every one of them is a Fraction."""
-    if not values:
-        raise ValueError("a grid needs at least one value")
-    for prev, cur in zip(values, values[1:]):
-        if cur < prev:
-            raise ValueError("grid values must be sorted non-decreasing")
-    for v in values:
-        if not isinstance(v, Fraction):
-            raise ValueError("grid values must be Fractions")
+def naive_regrid(d: SimpleDist, n: int) -> tuple[Fraction, ...]:
+    """The n slot values of `d`, each atom of probability p repeated p * n
+    times; ValueError when n < 1 or some p * n is no integer."""
+    if n < 1:
+        raise ValueError("grid size must be positive")
+    values: list[Fraction] = []
+    for value, prob in d.atoms:
+        count = prob * n
+        if count.denominator != 1:
+            raise ValueError(f"distribution does not fit on a grid of {n} slots")
+        values.extend([value] * int(count))
+    return tuple(values)
 
 
 def certificate_to_obj(cert: PermutationCertificate) -> dict:

@@ -77,7 +77,7 @@ def test_criterion_2_bruteforce_oracle_equivalence():
             UniformGrid.from_values([F(v) for v in vals])
             for vals in itertools.combinations_with_replacement(range(-3, 4), n)
         ]
-        dists = [g.to_dist() for g in grids]
+        dists = [g.dist for g in grids]
         for (ga, da) in zip(grids, dists):
             for (gb, db) in zip(grids, dists):
                 try:
@@ -173,8 +173,8 @@ def test_criterion_7_mps_coupling(spread_pairs_500):
             assert n * sum(p * v for p, v in zip(row, c.col_values)) == c.row_values[i]
         for j in range(n):
             assert sum(row[j] for row in c.matrix) == share
-        assert UniformGrid(c.row_values).to_dist() == xi
-        assert UniformGrid(c.col_values).to_dist() == eta
+        assert UniformGrid.from_values(c.row_values).dist == xi
+        assert UniformGrid.from_values(c.col_values).dist == eta
     _pass(7, "500 couplings: uniform marginals and row-martingale condition exact")
 
 

@@ -36,7 +36,6 @@ from divcert import (
     lift_delta_gamma,
     mixture,
     mps_coupling,
-    regrid,
     ssd_gap,
     t_transform_chain,
     verify_div1_certificate,
@@ -149,18 +148,18 @@ class TestBuildDoublyStochastic:
     and the coupling, seen through the coupling C = D/n."""
 
     def test_single_transfer(self):
-        c = mps_coupling(grid(2, 2).to_dist(), grid(1, 3).to_dist())
+        c = mps_coupling(grid(2, 2).dist, grid(1, 3).dist)
         assert [[2 * x for x in row] for row in c.matrix] == [[HALF, HALF], [HALF, HALF]]
 
     def test_identity(self):
         g = grid(1, 4, 6)
-        c = mps_coupling(g.to_dist(), g.to_dist())
+        c = mps_coupling(g.dist, g.dist)
         third = F(1, 3)
         assert c.matrix == ((third, 0, 0), (0, third, 0), (0, 0, third))
 
     def test_three_slot_example(self):
         a, b = grid(1, 2, 3), grid(0, 2, 4)
-        c = mps_coupling(a.to_dist(), b.to_dist())
+        c = mps_coupling(a.dist, b.dist)
         assert (c.row_values, c.col_values) == (a.values, b.values)
         assert times_grid([[3 * x for x in row] for row in c.matrix], b.values) == a.values
 
@@ -318,7 +317,7 @@ def separated_spread_pair(rng, atoms=8, doublings=3):
     for _ in range(doublings):
         shares = [F(rng.randrange(1, 8, 2), 8) for _ in es]
         es = [v + sign * s for v, s in zip(es, shares) for sign in (-1, 1)]
-    return UniformGrid.from_values(xs).to_dist(), UniformGrid.from_values(es).to_dist()
+    return UniformGrid.from_values(xs).dist, UniformGrid.from_values(es).dist
 
 
 @st.composite
@@ -335,7 +334,7 @@ def majorized_grids(draw, max_n=10):
         j = draw(st.integers(i + 1, n - 1))
         s = draw(st.sampled_from((F(1, 4), HALF, F(3, 4), F(1))))
         a[i], a[j] = a[i] + s * (a[j] - a[i]), a[j] + s * (a[i] - a[j])
-    return UniformGrid(tuple(sorted(a))), UniformGrid(tuple(b))
+    return UniformGrid.from_values(a), UniformGrid.from_values(b)
 
 
 def support_components(rows):
@@ -387,7 +386,7 @@ class TestBlockProduct:
     @settings(max_examples=200, deadline=None)
     def test_block_product_equals_the_dense_product(self, case):
         n, transfers = case
-        grid_n = UniformGrid((F(0),) * n)  # the substituted chain ignores the grids
+        grid_n = UniformGrid(dirac(0), n)  # the substituted chain ignores the grids
         with mock.patch.object(certify, "t_transform_chain", lambda a, b: transfers):
             blocks, L = certify._scaled_transfer_rows(grid_n, grid_n)
             rows, dense_L = oracles.naive_scaled_transfer_rows(grid_n, grid_n)
@@ -496,8 +495,8 @@ class TestCertifyDiv1:
         assert verify_div2_instance(dirac(2), COIN13, joint, cert.weights)
 
     def test_three_point_example_against_bruteforce(self):
-        xi = UniformGrid.from_values([1, 2, 3]).to_dist()
-        eta = UniformGrid.from_values([0, 2, 4]).to_dist()
+        xi = UniformGrid.from_values([1, 2, 3]).dist
+        eta = UniformGrid.from_values([0, 2, 4]).dist
         cert, joint = certify_div1(xi, eta)
         assert verify_div1_certificate(xi, eta, cert)
         a, b = common_refinement(xi, eta)
@@ -636,17 +635,17 @@ class TestLift:
         assert res.lifted_xi == xi and res.lifted_eta == eta
 
     def test_partial_slack(self):
-        res = lift_delta_gamma(grid(2, 2).to_dist(), grid(1, 4).to_dist())
+        res = lift_delta_gamma(grid(2, 2).dist, grid(1, 4).dist)
         assert res.delta == (F(0), F(1))
         assert res.gamma_top == 0
-        assert res.lifted_xi == grid(2, 3).to_dist()
+        assert res.lifted_xi == grid(2, 3).dist
         assert check_ssd(res.lifted_xi, res.lifted_eta)
 
     def test_top_slot_slack(self):
-        res = lift_delta_gamma(grid(0, 0).to_dist(), grid(-2, 1).to_dist())
+        res = lift_delta_gamma(grid(0, 0).dist, grid(-2, 1).dist)
         assert res.delta == (F(0), F(0))
         assert res.gamma_top == 1
-        assert res.lifted_eta == grid(-2, 2).to_dist()
+        assert res.lifted_eta == grid(-2, 2).dist
         assert res.lifted_xi.mean() == res.lifted_eta.mean() == 0
 
     def test_identities_on_random_pairs(self):

@@ -25,7 +25,6 @@ from divcert import (
     kantorovich,
     mixture,
     quantize_values,
-    regrid,
     simplex_weights,
 )
 
@@ -154,7 +153,7 @@ class TestSimpleDist:
     def test_quantile(self):
         assert dirac(5).quantile(F(1, 7)) == 5
         assert dirac(5).quantile(1) == 5
-        grid = UniformGrid.from_values([1, 2, 3]).to_dist()
+        grid = UniformGrid.from_values([1, 2, 3]).dist
         assert grid.quantile(F(1, 3)) == 1
         assert grid.quantile(F(1, 3) + F(1, 100)) == 2
         assert grid.quantile(1) == 3
@@ -185,8 +184,11 @@ class TestGrids:
         assert g.n == p
 
     def test_round_trip_preserves_multiset(self):
-        g = UniformGrid.from_values([F(1), F(1), F(2), F(7, 2)])
-        assert regrid(g.to_dist(), g.n).values == g.values
+        g = UniformGrid.from_values([F(7, 2), F(1), 2, F(1)])
+        law = SimpleDist.from_pairs([(1, F(1, 2)), (2, F(1, 4)), (F(7, 2), F(1, 4))])
+        assert g == UniformGrid(law, 4)
+        assert g.values == (F(1), F(1), F(2), F(7, 2))
+        assert UniformGrid.from_values(g.values) == g
 
     def test_common_refinement(self):
         a, b = common_refinement(
@@ -203,9 +205,19 @@ class TestGrids:
         assert ga.values == (F(0), F(0), F(1), F(1), F(1), F(1))
         assert gb.values == (F(5), F(5), F(5), F(6), F(6), F(6))
 
-    def test_regrid_rejects_incompatible(self):
-        with pytest.raises(ValueError):
-            regrid(SimpleDist.from_pairs([(0, F(1, 3)), (1, F(2, 3))]), 4)
+    def test_refuses_grid_size_zero(self):
+        with pytest.raises(ValueError, match="^grid size must be positive$"):
+            UniformGrid(dirac(0), 0)
+
+    def test_refuses_a_law_off_the_lattice(self):
+        thirds = SimpleDist.from_pairs([(0, F(1, 3)), (1, F(2, 3))])
+        assert UniformGrid(thirds, 6).values == (F(0), F(0), F(1), F(1), F(1), F(1))
+        with pytest.raises(ValueError, match="^distribution does not fit on a grid of 4 slots$"):
+            UniformGrid(thirds, 4)
+
+    def test_refuses_empty_from_values(self):
+        with pytest.raises(ValueError, match="^a grid needs at least one value$"):
+            UniformGrid.from_values([])
 
 
 class TestMixture:
@@ -327,9 +339,10 @@ class TestProperties:
     @given(dists())
     def test_expand_preserves_mean_and_distance(self, d):
         g = expand_to_uniform_grid(d)
-        assert g.mean() == d.mean()
-        assert g.to_dist() == d
-        assert kantorovich(g.to_dist(), d) == 0
+        assert sum(g.values) / g.n == d.mean()
+        slots = UniformGrid.from_values(g.values)
+        assert slots == g
+        assert kantorovich(slots.dist, d) == 0
 
     @given(st.lists(dists(max_atoms=4), min_size=1, max_size=4), st.data())
     def test_mixture_mean_identity(self, ds, data):

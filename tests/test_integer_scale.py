@@ -18,6 +18,10 @@ law and for a coupling, both ways in must give equal objects.
 The transfer chain and the majorization test run on integer numerators
 too, the chain in one forward pass; on drawn grids they must return the
 transfers, the violation witness and the check of the Fraction loops.
+They read a grid's slots through `_slot_scale`, which scales each
+distinct value of the grid's law once: its rows must be what
+`common_scale` gives for the Fraction slots, and those slots what the
+loop that listed them before (`naive_regrid`) gives, refusals included.
 
 The verifiers fold over runs of equal adjacent cells: of each atom's
 vector in a joint law, and of each slot's column of permutation sources
@@ -27,6 +31,7 @@ the per-cell loops give.
 """
 
 import json
+import math
 from fractions import Fraction as F
 from itertools import accumulate, groupby
 
@@ -46,6 +51,7 @@ from divcert import (
     SimpleDist,
     UniformGrid,
     check_majorization,
+    common_refinement,
     convex_combination,
     decompose_ssd,
     dirac,
@@ -57,7 +63,7 @@ from divcert import (
     verify_div1_certificate,
     verify_div2_instance,
 )
-from divcert.dist import _runs
+from divcert.dist import _runs, _slot_scale, common_scale
 from divcert.serialize import _joint, dumps, joint_from_obj
 
 #: value denominators are 2^a 3^b; weight denominators come from the drawn
@@ -168,20 +174,6 @@ def dist_atoms(draw):
 
 
 @st.composite
-def grid_values(draw):
-    """Value tuples for UniformGrid: sorted, or out of order, holding ints,
-    floats or a string among the Fractions, or both at once."""
-    vs = sorted(draw(st.lists(values, min_size=0, max_size=6)))
-    if len(vs) > 1 and draw(st.booleans()):
-        i, j = draw(st.integers(0, len(vs) - 1)), draw(st.integers(0, len(vs) - 1))
-        vs[i], vs[j] = vs[j], vs[i]
-    if vs and draw(st.booleans()):
-        i = draw(st.integers(0, len(vs) - 1))
-        vs[i] = draw(st.sampled_from((int(vs[i]), float(vs[i]), str(vs[i]))))
-    return tuple(vs)
-
-
-@st.composite
 def certificates(draw, max_n=5):
     n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, min(4, (n - 1) ** 2 + 1)))
@@ -287,7 +279,7 @@ def grid_pairs(draw, max_n=16):
             a[i], a[j] = a[i] + s * (a[j] - a[i]), a[j] + s * (a[i] - a[j])
     else:
         a = draw(st.lists(small, min_size=n, max_size=n))
-    return UniformGrid(tuple(sorted(a))), UniformGrid(tuple(b))
+    return UniformGrid.from_values(a), UniformGrid.from_values(b)
 
 
 @st.composite
@@ -466,9 +458,25 @@ class TestValidators:
             lambda: oracles.naive_validate_dist(atoms)
         )
 
-    @given(grid_values())
-    def test_uniform_grid(self, vs):
-        assert outcome(lambda: UniformGrid(vs)) == outcome(lambda: oracles.naive_validate_grid(vs))
+
+class TestGridSlots:
+    @given(dists(), st.data())
+    def test_slots_are_the_regrid_loop(self, d, data):
+        size = math.lcm(*(p.denominator for p in d.probs))
+        n = data.draw(st.one_of(st.integers(1, 3).map(size.__mul__), st.integers(-1, 2 * size)))
+        expected = failure(lambda: oracles.naive_regrid(d, n))
+        assert failure(lambda: UniformGrid(d, n)) == expected
+        if expected is None:
+            assert UniformGrid(d, n).values == oracles.naive_regrid(d, n)
+
+    @given(dists(), dists(), st.integers(1, 3))
+    def test_slot_scale_is_the_scale_of_the_slots(self, xi, eta, k):
+        n = k * common_refinement(xi, eta)[0].n
+        a, b = UniformGrid(xi, n), UniformGrid(eta, n)
+        nums, den = common_scale(a.values + b.values)
+        assert _slot_scale(a, b) == ([nums[:n], nums[n:]], den)
+        nums, den = common_scale(b.values)
+        assert _slot_scale(b) == ([nums], den)
 
 
 class TestIntegerView:
@@ -555,7 +563,7 @@ class TestRunFolds:
         grid = UniformGrid.from_values(data.draw(st.lists(values, min_size=cert.n, max_size=cert.n)))
         slots = oracles.naive_combine(cert.terms, grid.values)
         xi = SimpleDist.from_pairs((v, F(1, cert.n)) for v in slots)
-        eta = grid.to_dist()
+        eta = grid.dist
         assert verify_div1_certificate(xi, eta, cert)
         other = data.draw(dists())
         assert verify_div1_certificate(other, eta, cert) == (other == xi)

@@ -24,7 +24,6 @@ from divcert import (
     certify_div1,
     dirac,
     mps_coupling,
-    regrid,
     verify_div1_certificate,
     verify_div2_instance,
 )
@@ -199,7 +198,7 @@ def _verdict(xi, eta, obj) -> bool:
 def _reconstructs(xi, eta, terms) -> bool:
     """Do these (perm, weight) terms rebuild xi in law (integer oracle)?"""
     n = len(terms[0][0])
-    slots = oracles.reconstruct_slots(terms, regrid(eta, n).values)
+    slots = oracles.reconstruct_slots(terms, UniformGrid(eta, n).values)
     return SimpleDist.from_pairs((v, F(1, n)) for v in slots) == xi
 
 
@@ -422,7 +421,7 @@ def spread_pairs(draw):
             s = draw(st.builds(F, st.integers(0, 6), st.sampled_from((1, 2, 3))))
             spread += [v - s, v + s]
         es = spread
-    return UniformGrid.from_values(xs).to_dist(), UniformGrid.from_values(sorted(es)).to_dist()
+    return UniformGrid.from_values(xs).dist, UniformGrid.from_values(sorted(es)).dist
 
 
 #: negative, non-dyadic values: eta spreads the Dirac at -1/3

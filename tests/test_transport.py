@@ -85,4 +85,4 @@ class TestMetricAxioms:
                 [v + s for v, s in zip(g.values, slack)]
             )
             bound = F(sum(slack), g.n)
-            assert kantorovich(g.to_dist(), shifted.to_dist()) <= bound
+            assert kantorovich(g.dist, shifted.dist) <= bound
