@@ -20,13 +20,13 @@ only in that integer form: a single private step runs the checks and
 the transfer product, which holds D block by block.  A transfer mixes
 two slots, so D is zero outside the components of the transfer chain,
 and each component is one dense k x k block of numerators over the
-common denominator L.  The coupling expands the blocks once into its
-n x n integer view over n * L, the only dense copy of D, and the peel
-reads the blocks (`certify_bundle` returns both from one product).  The
-joint law is built from the numerators of eta's grid.  No witness cell
-becomes a Fraction here: the witness types hold integer views, and they
-and the rules that make them valid are defined in `divcert.dominance`
-and `divcert.dist`; this module only builds them.
+common denominator L.  The coupling lists each row's nonzero cells from
+its block, over n * L, and the peel reads the blocks (`certify_bundle`
+returns both from one product); nothing here holds D as an n x n
+matrix.  The joint law is built from the numerators of eta's grid.  No
+witness cell becomes a Fraction here: the witness types hold integer
+views, and they and the rules that make them valid are defined in
+`divcert.dominance` and `divcert.dist`; this module only builds them.
 
 All constructions are deterministic: the transfer chain always picks the
 smallest deficient index and the smallest surplus index after it, and
@@ -49,7 +49,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add, sub
 
 from .dist import (
@@ -67,17 +67,18 @@ from .dominance import (
     TTransform,
     majorization_violation,
 )
-from .matching import lex_min_perfect_matching
+from .matching import LexMinMatching
 from .risk import ssd_violation
 
 #: Slot cap of certify_div1, mps_coupling and certify_bundle.  The
 #: transfer product is dense only inside its blocks, which one component
-#: of n slots makes n x n, and the coupling is always a dense n x n
-#: structure: `divcert certify --out` on xi = eta with n distinct values
-#: (n blocks of one slot) took 0.6 s and a peak RSS of 78 MB at n = 1024
-#: (2-core x86-64, CPython 3.11), and its time grew about 3.4-fold per
-#: doubling of n.  A larger pair fails with GridCapError before anything
-#: n x n is allocated.
+#: of n slots makes n x n, and the coupling holds only its nonzero cells,
+#: but the coupling that `divcert certify --out` and `divcert mps` write
+#: is n x n text, 13 MB at n = 1024: on xi = eta with n distinct values
+#: (n blocks of one slot) `divcert certify --out` took 0.16-0.26 s and a
+#: peak RSS of 44 MB at n = 1024 (2-core x86-64, CPython 3.11), and its
+#: time about doubled per doubling of n from n = 256.  A larger pair fails
+#: with GridCapError before anything n x n is built.
 CERTIFY_SLOT_CAP = 1024
 
 #: Bound on the bits of any row denominator of the transfer product.  The
@@ -291,30 +292,30 @@ _NO_MATCHING = (
 )
 
 
-def _peel_block(
-    cells: list[list[int]], adjacency: list[list[int]], L: int
-) -> list[tuple[int, list[int]]]:
-    """Birkhoff peeling of one block alone, consuming `cells` and
-    `adjacency`: each round takes the block's lex-min perfect matching,
-    warm-started from the round before, and subtracts its least matched
-    cell.  Returns (t, matching) per round, t the weight peeled so far at
-    the round's end, up to the first t >= L.  Every round zeroes a cell,
-    so the support runs out, and the kernel reports it, if L is never
-    reached.
+def _peel_block(cells: list[list[int]], L: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Birkhoff peeling of one block alone, consuming `cells`: each round
+    takes the block's lex-min perfect matching and subtracts its least
+    matched cell.  One kernel holds the block's support for the whole
+    peel: a cell that reaches zero leaves it, and the next round repairs
+    the matching from there.  Returns (t, matching) per round, t the
+    weight peeled so far at the round's end, up to the first t >= L.
+    Every round zeroes a cell, so the support runs out, and the kernel
+    reports it, if L is never reached.
     """
+    slots = range(len(cells))
+    kernel = LexMinMatching([compress(slots, row) for row in cells])
     rounds = []
-    match = None
     t = 0
     while t < L:
-        match = lex_min_perfect_matching(adjacency, previous=match)
+        match = kernel.solve()
         if match is None:
             raise ValueError(_NO_MATCHING)
         weight = min(map(list.__getitem__, cells, match))
-        for row, cols, j in zip(cells, adjacency, match):
+        for i, (row, j) in enumerate(zip(cells, match)):
             left = row[j] - weight
             row[j] = left
             if not left:
-                cols.remove(j)
+                kernel.drop(i, j)
         t += weight
         rounds.append((t, match))
     return rounds
@@ -347,8 +348,8 @@ def _peel_scaled(blocks: Blocks, L: int) -> list[tuple[tuple[int, ...], Fraction
     A block whose support falls apart as its cells reach zero needs
     nothing more: its kernel search matches every part at once.  A block
     with no perfect matching fails in that search.  Blocks and the
-    kernel's warm-start hint change only the speed: the matching, and so
-    the certificate, is the same as a cold search of the whole support
+    kernel's state across rounds change only the speed: the matching, and
+    so the certificate, is the same as a cold search of the whole support
     gives.
     """
     n = sum(len(slots) for slots, _ in blocks)
@@ -357,11 +358,7 @@ def _peel_scaled(blocks: Blocks, L: int) -> list[tuple[tuple[int, ...], Fraction
     # starts there
     after: dict[int, list[tuple[list[int], list[int]]]] = {}
     for slots, cells in blocks:
-        rounds = _peel_block(
-            [row[:] for row in cells],
-            [[j for j, x in enumerate(row) if x] for row in cells],
-            L,
-        )
+        rounds = _peel_block([row[:] for row in cells], L)
         for i, k in zip(slots, rounds[0][1]):
             perm[i] = slots[k]
         for (t, _), (_, match) in zip(rounds, rounds[1:]):
@@ -405,17 +402,12 @@ def _transfer_product(
 def _coupling(
     a: UniformGrid, b: UniformGrid, blocks: Blocks, L: int
 ) -> MartingaleCoupling:
-    """C = D/n: the blocks expanded into the n x n integer view over n * L,
-    the only dense copy of D."""
-    n = a.n
-    cells = [()] * n
+    """C = D/n over n * L: each row's nonzero cells, read off its block."""
+    cells = [()] * a.n
     for slots, rows in blocks:
         for i, row in zip(slots, rows):
-            full = [0] * n
-            for j, x in zip(slots, row):
-                full[j] = x
-            cells[i] = tuple(full)
-    return MartingaleCoupling(n, tuple(cells), n * L, a.values, b.values)
+            cells[i] = (tuple(compress(slots, row)), tuple(filter(None, row)))
+    return MartingaleCoupling(a.n, tuple(cells), a.n * L, a.values, b.values)
 
 
 def _certificate(

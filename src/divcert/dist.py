@@ -63,7 +63,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 #: Default slot cap of expand_to_uniform_grid and common_refinement, and so
 #: of `divcert check majorization` and lift_delta_gamma, whose work is linear
 #: in the slots: the lcm of the probability denominators is what blows up.
-#: The certificate constructions hold n x n integers and use the far lower
+#: The certificate constructions write n x n text and use the far lower
 #: certify.CERTIFY_SLOT_CAP.
 DEFAULT_GRID_CAP = 10**6
 

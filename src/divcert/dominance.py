@@ -38,9 +38,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, mul, sub
-from typing import Sequence
+from itertools import accumulate, compress
+from operator import mul, sub
+from typing import Iterator, Sequence
 
 from .dist import (
     JointDist,
@@ -193,13 +193,15 @@ class MartingaleCoupling:
     property: conditionally on each row slot, the column values average
     back to the row value exactly.
 
-    The n x n cells are held as one integer view: cell (i, j) is
-    cells[i][j] / den, over the least such denominator.  The constructor
-    takes that view; `from_matrix` takes Fractions and scales them once.
-    `matrix` is the Fraction view."""
+    Only the nonzero cells are held, as one integer view: row i is the
+    pair (cols, nums) of its ascending columns and their numerators, so
+    cell (i, cols[k]) is nums[k] / den, over the least such denominator,
+    and every other cell is zero.  The constructor takes that view;
+    `from_matrix` takes an n x n matrix of Fractions and scales it once.
+    `matrix` is the dense Fraction view."""
 
     n: int
-    cells: tuple[tuple[int, ...], ...]
+    cells: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     den: int
     row_values: tuple[Fraction, ...]
     col_values: tuple[Fraction, ...]
@@ -212,39 +214,71 @@ class MartingaleCoupling:
             raise ValueError("matrix and value grids must all have size n")
         if den < 1:
             raise ValueError("the cell denominator must be positive")
-        # column value v = vnum/vden: a row sums to 1/n iff n * sum(cells)
+        # column value v = vnum/vden: a row sums to 1/n iff n * sum(nums)
         # == den, and it averages back to its row value r iff
-        # n * sum(cell * vnum) == r * den * vden
+        # n * sum(num * vnum) == r * den * vden
         vnums, vden = common_scale(self.col_values)
         col_sums = [0] * n
-        for i, (row, r) in enumerate(zip(cells, self.row_values)):
-            if len(row) != n:
+        for i, ((cols, nums), r) in enumerate(zip(cells, self.row_values)):
+            if len(cols) != len(nums):
                 raise ValueError("matrix must be square")
-            if min(row) < 0:
-                raise ValueError("entries must be non-negative")
-            row_sum = sum(row)
+            if min(nums, default=1) <= 0:
+                if min(nums) < 0:
+                    raise ValueError("entries must be non-negative")
+                raise ValueError(f"row {i} lists a zero cell")
+            last = -1
+            moment = 0
+            for j, x in zip(cols, nums):
+                if not last < j < n:
+                    if 0 <= j < n:
+                        raise ValueError(f"the columns of row {i} must ascend strictly")
+                    raise ValueError(f"row {i} has a column outside 0..{n - 1}")
+                last = j
+                col_sums[j] += x
+                moment += x * vnums[j]
+            row_sum = sum(nums)
             if row_sum * n != den:
                 raise ValueError(f"row {i} sums to {Fraction(row_sum, den)}, not 1/{n}")
-            if n * sum(map(mul, row, vnums)) * r.denominator != r.numerator * den * vden:
+            if n * moment * r.denominator != r.numerator * den * vden:
                 raise ValueError(f"martingale property fails on row {i}")
-            col_sums = list(map(add, col_sums, row))
         if any(c * n != den for c in col_sums):
             raise ValueError(f"column sums must all be 1/{n}")
-        cells, den = _least_scale(cells, den)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "den", den)
+        scaled, least = _least_scale([nums for _, nums in cells], den)
+        if least != den:
+            cells = tuple((cols, row) for (cols, _), row in zip(cells, scaled))
+            object.__setattr__(self, "cells", cells)
+            object.__setattr__(self, "den", least)
 
     @staticmethod
     def from_matrix(n: int, matrix, row_values, col_values) -> "MartingaleCoupling":
-        """The coupling whose cell (i, j) is the Fraction matrix[i][j]."""
-        cells, den = _scale_rows(matrix)
+        """The coupling whose cell (i, j) is the Fraction matrix[i][j].  A
+        row of any length but n is listed against the n columns, so the
+        validator refuses it as not square, at its turn among the rows."""
+        listed = [
+            (tuple(compress(range(n), row)), tuple(filter(None, row)))
+            if len(row) == n
+            else (range(n), row)
+            for row in matrix
+        ]
+        nums, den = _scale_rows([cells for _, cells in listed])
+        cells = tuple((cols, row) for (cols, _), row in zip(listed, nums))
         return MartingaleCoupling(n, cells, den, row_values, col_values)
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         den = self.den
         zero = Fraction(0)  # most cells of a large coupling
-        return tuple(tuple(Fraction(x, den) if x else zero for x in row) for row in self.cells)
+        return tuple(map(tuple, self._dense_rows(zero, lambda x: Fraction(x, den))))
+
+    def _dense_rows(self, zero, cell) -> Iterator[list]:
+        """Each row as its n cells: cell(num) where the row lists a
+        numerator, `zero` elsewhere."""
+        zeros = [zero] * self.n
+        for cols, nums in self.cells:
+            row = zeros[:]
+            for j, x in zip(cols, nums):
+                row[j] = cell(x)
+            yield row
 
 
 def verify_div1_certificate(

@@ -1,80 +1,44 @@
 """The perfect-matching kernel of the Birkhoff peel, in pure Python.
 
 Finds the lexicographically smallest perfect matching of a bipartite
-graph given as adjacency lists (``adjacency[i]`` holds the columns of
-row ``i`` in ascending order; ``n`` rows and ``n`` columns).
-"Lexicographically smallest" means the column sequence (col(0), col(1),
-..., col(n-1)) is minimal among all perfect matchings; it is unique.
+graph on ``k`` rows and ``k`` columns.  "Lexicographically smallest"
+means the column sequence (col(0), col(1), ..., col(k-1)) is minimal
+among all perfect matchings; it is unique.
 
-The algorithm runs Kuhn's augmenting-path search (rows in index order,
-columns in ascending order) to complete a perfect matching, then pins
-rows one by one: for each row, every smaller column is tried in turn and
-kept if the remaining graph still extends to a perfect matching (one
-augmenting-path test per candidate).
+`LexMinMatching` holds the graph as Python-int bitsets, row -> columns
+and column -> rows, and keeps them with its matching while the graph
+loses edges, as one block of D does over the rounds of its peel.  Each
+`solve` does two things:
 
-A warm start cuts both phases down when the graph G' is a subgraph of a
-graph G whose lex-min matching M is known (``previous``), as in every
-Birkhoff peel round after the first:
+* Repair.  The rows whose matched edge was dropped since the last solve
+  are re-matched by an augmenting-path search (breadth first, over the
+  bitsets).  The graph starts with every row unmatched, so the first
+  solve is Kuhn's algorithm.
+* Re-pin.  Rows are pinned in index order.  Row r, on column cur, may
+  move to a smaller column c only if the row that owns c can be
+  re-matched without the pinned rows: along an alternating path, over
+  rows after r, that ends at cur, the column r frees.  One reverse
+  search from cur, over the column -> rows bitsets, finds every row
+  that can reach cur, so it answers all candidate columns of r at once;
+  r takes the smallest candidate whose owner is reached, and the path
+  shifts along the search's parent pointers.  No search is a probe that
+  fails.
 
-* M minus the edges missing from G' is a matching of G', so only the
-  rows that lost their edge need an augmenting path;
-* while the pinned prefix equals M's, no column below M's column for
-  the next row extends to a perfect matching of G, hence none does in
-  G'; candidates below it are skipped until the prefix first differs.
+The re-pin keeps a floor lemma: while the pinned prefix equals that of
+the previous solve's matching M, no column below M's column for the
+next row extends to a perfect matching of the old graph, hence none
+does of its subgraph now.  So candidates below it are skipped until the
+prefix first differs, and a row still on it needs no search.  The
+floor changes only the work: the matching is the one a cold solve of
+the same graph returns.
 
-If ``previous`` does not come from a supergraph's lex-min matching the
-result is undefined.  The hint changes only the speed: the matching is
-the same as the cold search returns.  Each search marks visited columns
-with its own stamp in one list per call, so no search clears a list.
+`lex_min_perfect_matching` is the cold entry point: one solve of a new
+kernel.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Sequence
-
-
-def _augment(
-    root: int,
-    barrier: int,
-    adjacency: Sequence[Sequence[int]],
-    row_of: list[int],
-    col_of: list[int],
-    seen: list[int],
-    stamp: int,
-) -> bool:
-    """Search an augmenting path from free row `root`, iteratively.
-
-    Rows below `barrier` are pinned: their matched columns may not be
-    displaced.  Columns with ``seen[col] == stamp`` were visited by this
-    search.  On success the matching arrays are updated in place.
-    """
-    path_rows = [root]
-    path_cols: list[int] = []  # path_cols[k] leads from path_rows[k] to path_rows[k + 1]
-    scans = [iter(adjacency[root])]
-    while scans:
-        for col in scans[-1]:
-            if seen[col] == stamp:
-                continue
-            owner = row_of[col]
-            if 0 <= owner < barrier:
-                continue
-            seen[col] = stamp
-            path_cols.append(col)
-            if owner < 0:
-                for r, c in zip(path_rows, path_cols):
-                    row_of[c] = r
-                    col_of[r] = c
-                return True
-            path_rows.append(owner)
-            scans.append(iter(adjacency[owner]))
-            break
-        else:  # every column of this row is spent: backtrack
-            scans.pop()
-            path_rows.pop()
-            if path_cols:
-                path_cols.pop()
-    return False
+from typing import Iterable, Sequence
 
 
 def active_backend() -> str:
@@ -85,65 +49,155 @@ def active_backend() -> str:
     return "python"
 
 
-def lex_min_perfect_matching(
-    adjacency: Sequence[Sequence[int]], *, previous: Sequence[int] | None = None
-) -> list[int] | None:
-    """Return the lex-smallest perfect matching as a row->column list.
+class LexMinMatching:
+    """The lex-min perfect matching of a graph that loses edges.
 
-    `previous`, if given, is the lex-min perfect matching of a graph that
-    contains this one (see the module docstring).  Returns None when the
-    graph has no perfect matching.
+    ``adjacency[r]`` lists the columns of row r; there are as many
+    columns as rows.  `drop` removes an edge, `solve` returns the lex-min
+    perfect matching of the graph as it stands, as a row -> column
+    tuple, or None when it has none (the kernel is then spent).
     """
-    n = len(adjacency)
-    col_of = [-1] * n
-    row_of = [-1] * n
-    seen = [0] * n
-    stamp = 0
 
-    if previous is not None:
-        for row, col in enumerate(previous):
-            cols = adjacency[row]
-            k = bisect_left(cols, col)
-            if k < len(cols) and cols[k] == col:
-                col_of[row] = col
-                row_of[col] = row
-    for row in range(n):
-        if col_of[row] < 0:
-            stamp += 1
-            if not _augment(row, 0, adjacency, row_of, col_of, seen, stamp):
+    __slots__ = ("cols", "rows", "col_of", "row_of", "free", "open", "floor", "parent")
+
+    def __init__(self, adjacency: Sequence[Iterable[int]]):
+        k = len(adjacency)
+        cols = [0] * k  # row -> its columns
+        rows = [0] * k  # column -> its rows
+        for r, adj in enumerate(adjacency):
+            bit = 1 << r
+            bits = 0
+            for c in adj:
+                bits |= 1 << c
+                rows[c] |= bit
+            cols[r] = bits
+        self.cols = cols
+        self.rows = rows
+        self.col_of = [-1] * k
+        self.row_of = [-1] * k
+        self.free = list(range(k))  # rows to re-match at the next solve
+        self.open = (1 << k) - 1  # unmatched columns
+        self.floor: tuple[int, ...] | None = None  # the last solve's matching
+        self.parent = [0] * k  # reused by every search: one slot per row or column
+
+    def drop(self, row: int, col: int) -> None:
+        """Remove the edge (row, col)."""
+        self.cols[row] &= ~(1 << col)
+        self.rows[col] &= ~(1 << row)
+        if self.col_of[row] == col:
+            self.col_of[row] = self.row_of[col] = -1
+            self.free.append(row)
+            self.open |= 1 << col
+
+    def solve(self) -> tuple[int, ...] | None:
+        """The lex-min perfect matching of the graph, or None."""
+        for root in self.free:
+            if not self._augment(root):
                 return None
+        self.free.clear()
+        cols, col_of = self.cols, self.col_of
+        floor = self.floor
+        same = floor is not None
+        pinned = 0  # columns of the pinned rows
+        after = (1 << len(col_of)) - 1  # rows after the one being pinned
+        for r in range(len(col_of)):
+            cur = col_of[r]
+            after ^= 1 << r
+            if same:
+                low = floor[r]
+                if cur == low:
+                    pinned |= 1 << cur
+                    continue
+                cand = cols[r] & ((1 << cur) - (1 << low)) & ~pinned
+            else:
+                cand = cols[r] & ((1 << cur) - 1) & ~pinned
+            if cand:
+                cur = self._repin(r, cur, cand, after)
+            pinned |= 1 << cur
+            same = same and cur == low
+        self.floor = match = tuple(col_of)
+        return match
 
-    same_prefix = previous is not None
-    for row in range(n):
-        current = col_of[row]
-        cols = adjacency[row]
-        start = 0
-        if same_prefix:
-            floor = previous[row]
-            if current == floor:
-                continue
-            start = bisect_left(cols, floor)
-        for k in range(start, len(cols)):
-            col = cols[k]
-            if col >= current:
-                break
-            owner = row_of[col]
-            if owner < row:
-                continue  # column already pinned to an earlier row
-            # Tentatively move `row` onto `col`, freeing `owner`, and test
-            # whether the displaced row can be rematched elsewhere.
-            col_of[row] = col
-            row_of[col] = row
-            col_of[owner] = -1
-            row_of[current] = -1
-            stamp += 1
-            if _augment(owner, row + 1, adjacency, row_of, col_of, seen, stamp):
-                current = col
-                break
-            col_of[row] = current
-            row_of[current] = row
-            col_of[owner] = col
-            row_of[col] = owner
-        same_prefix = same_prefix and current == floor
+    def _augment(self, root: int) -> bool:
+        """Match the free row `root` along a shortest augmenting path."""
+        cols, col_of, row_of, via = self.cols, self.col_of, self.row_of, self.parent
+        seen = 0
+        frontier = [root]
+        while frontier:
+            grown = []
+            for x in frontier:
+                new = cols[x] & ~seen
+                hit = new & self.open
+                if hit:
+                    c = (hit & -hit).bit_length() - 1
+                    self.open ^= 1 << c
+                    while True:  # x takes c, its old column passes back along the path
+                        old = col_of[x]
+                        col_of[x] = c
+                        row_of[c] = x
+                        if old < 0:
+                            return True
+                        c = old
+                        x = via[c]
+                seen |= new
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    c = bit.bit_length() - 1
+                    via[c] = x
+                    grown.append(row_of[c])
+            frontier = grown
+        return False
 
-    return col_of
+    def _repin(self, r: int, cur: int, cand: int, after: int) -> int:
+        """Move row r from `cur` to the smallest column of `cand` whose
+        owner can reach `cur` over the rows of `after`; return r's column."""
+        rows, col_of, row_of, parent = self.rows, self.col_of, self.row_of, self.parent
+        first = cand & -cand
+        frontier = rows[cur] & after
+        unseen = after ^ frontier
+        bits = frontier
+        while bits:  # these rows take cur itself
+            bit = bits & -bits
+            bits ^= bit
+            parent[bit.bit_length() - 1] = -1
+        reach = 0  # columns whose owners can reach cur
+        while frontier and not reach & first:
+            grown = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                y = bit.bit_length() - 1
+                col = col_of[y]
+                reach |= 1 << col
+                new = rows[col] & unseen
+                if new:
+                    unseen ^= new
+                    grown |= new
+                    while new:
+                        bit = new & -new
+                        new ^= bit
+                        parent[bit.bit_length() - 1] = y
+            frontier = grown
+        hit = cand & reach
+        if not hit:
+            return cur
+        c = (hit & -hit).bit_length() - 1
+        x = row_of[c]
+        col_of[r] = c
+        row_of[c] = r
+        while True:  # the owner of c moves up its parent pointers to cur
+            y = parent[x]
+            to = cur if y < 0 else col_of[y]
+            col_of[x] = to
+            row_of[to] = x
+            if y < 0:
+                return c
+            x = y
+
+
+def lex_min_perfect_matching(adjacency: Sequence[Sequence[int]]) -> list[int] | None:
+    """Return the lex-smallest perfect matching as a row->column list, or
+    None when the graph has none."""
+    match = LexMinMatching(adjacency).solve()
+    return None if match is None else list(match)

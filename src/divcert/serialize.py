@@ -252,7 +252,13 @@ def _coupling(c: MartingaleCoupling, newline: str) -> str:
     sep = f'",{item}"'
     row_values = sep.join(map(rational_str, c.row_values))
     col_values = sep.join(map(rational_str, c.col_values))
-    matrix = ("," + item).join(_rows(c.cells, c.den, item))
+    # every cell the coupling does not list is written "0"
+    text = {k: rational_str(Fraction(k, c.den)) for k in set().union(*(ns for _, ns in c.cells))}
+    cell = item + "  "
+    head, comma, tail = f'[{cell}"', f'",{cell}"', f'"{item}]'
+    matrix = ("," + item).join(
+        [f"{head}{comma.join(row)}{tail}" for row in c._dense_rows("0", text.__getitem__)]
+    )
     return (
         f'{{{inner}"n": {c.n},'
         f'{inner}"row_values": [{item}"{row_values}"{inner}],'

@@ -140,21 +140,37 @@ def rand_joint(
     )
 
 
-def integer_view(vectors, factor: int = 2) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _integer_rows(vectors, factor: int = 2) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The exact numbers in `vectors` (Fractions, ints or rational strings)
-    as integer rows over one denominator, `factor` times the least one: the
-    integer way into JointDist and MartingaleCoupling, which must cancel the
-    factor."""
+    as integer rows over one denominator, `factor` times the least one."""
     rows = [[Fraction(x) for x in vec] for vec in vectors]
     den = factor * math.lcm(*(x.denominator for row in rows for x in row))
     return tuple(tuple(int(x * den) for x in row) for row in rows), den
 
 
+def integer_view(matrix, factor: int = 2):
+    """The integer way into MartingaleCoupling: each row of `matrix` as the
+    pair (cols, nums) of its nonzero cells, over one denominator `factor`
+    times the least one, which the constructor must cancel.  A row whose
+    length is not the number of rows is paired with every column, as
+    `MartingaleCoupling.from_matrix` pairs it, so it is refused as not
+    square."""
+    rows, den = _integer_rows(matrix, factor)
+    n = len(rows)
+    cells = tuple(
+        (tuple(j for j, x in enumerate(row) if x), tuple(x for x in row if x))
+        if len(row) == n
+        else (range(n), row)
+        for row in rows
+    )
+    return cells, den
+
+
 def joint_from_integers(atoms, factor: int = 2) -> JointDist:
     """The joint law of (vector, probability) pairs, built through its
     integer constructor."""
-    rows, vden = integer_view([vec for vec, _ in atoms], factor)
-    (masses,), pden = integer_view([[p for _, p in atoms]], factor)
+    rows, vden = _integer_rows([vec for vec, _ in atoms], factor)
+    (masses,), pden = _integer_rows([[p for _, p in atoms]], factor)
     return JointDist(rows, vden, masses, pden)
 
 

@@ -256,25 +256,19 @@ def reassemble(terms, n: int) -> list[list[Fraction]]:
 
 def naive_peel(rows: list[list[int]], L: int) -> list[tuple[tuple[int, ...], Fraction]]:
     """Birkhoff peeling of rows/L over the whole support: every round
-    re-matches all n rows at once (warm-started from the round before),
-    whatever blocks the support splits into.  Consumes `rows`."""
+    re-matches all n rows at once with a cold search, whatever blocks the
+    support splits into.  Consumes `rows`."""
     n = len(rows)
-    adjacency = [[j for j, x in enumerate(row) if x] for row in rows]
     remaining = L
     terms = []
-    perm = None
     for _ in range(n * n + 1):
-        perm = lex_min_perfect_matching(adjacency, previous=perm)
+        perm = lex_min_perfect_matching([[j for j, x in enumerate(row) if x] for row in rows])
         if perm is None:
             raise ValueError("positive entries admit no perfect matching")
         weight = min(rows[i][perm[i]] for i in range(n))
         terms.append((tuple(perm), Fraction(weight, L)))
         for i in range(n):
-            j = perm[i]
-            left = rows[i][j] - weight
-            rows[i][j] = left
-            if not left:
-                adjacency[i].remove(j)
+            rows[i][perm[i]] -= weight
         remaining -= weight
         if not remaining:
             return terms

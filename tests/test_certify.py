@@ -43,7 +43,8 @@ from divcert import (
 )
 from divcert import certify
 from divcert.certify import _peel_scaled
-from divcert.serialize import coupling_from_obj
+from divcert.matching import LexMinMatching
+from divcert.serialize import bundle_text, coupling_from_obj
 
 HALF = F(1, 2)
 COIN13 = SimpleDist.from_pairs([(1, HALF), (3, HALF)])
@@ -57,6 +58,19 @@ def peel(rows, L):
     """The Birkhoff peel of the dense integer matrix rows/L, handed to the
     peel as one block that covers every slot."""
     return _peel_scaled([(list(range(len(rows))), rows)], L)
+
+
+def count_solves(monkeypatch) -> list[int]:
+    """Record the row count of every matching kernel solve from now on."""
+    calls = []
+    solve = LexMinMatching.solve
+
+    def counted(kernel):
+        calls.append(len(kernel.col_of))
+        return solve(kernel)
+
+    monkeypatch.setattr(LexMinMatching, "solve", counted)
+    return calls
 
 
 @st.composite
@@ -229,6 +243,22 @@ class TestBirkhoff:
             "ef9c530805c79f857cd82dfc9f2f92f3a47a7514fbac3678860950f84f28cbe2"
         )
 
+    def test_the_n128_pair_writes_the_recorded_bundle(self):
+        # The second draw of spread_pair(Random(1), 8, 4) refines to 128
+        # slots, with blocks of 1, 1, 4, 6, 11, 12 and 93 slots: the 93-slot
+        # block holds the widest bitsets of any test input, past 64 bits.
+        # The digest was recorded before the peel kept one kernel per block.
+        rng = random.Random(1)
+        helpers.spread_pair(rng, 8, 4, 32, 8)
+        xi, eta = helpers.spread_pair(rng, 8, 4, 32, 8)
+        cert, joint, coupling = certify_bundle(xi, eta)
+        assert (cert.n, len(cert.terms)) == (128, 4420)
+        text = bundle_text(cert, joint, coupling).encode()
+        assert len(text) == 18_216_437
+        assert hashlib.sha256(text).hexdigest() == (
+            "8596a9f2a06afbcb995a1dc289a2c54d45b1024e682ec64749372e5456738e1b"
+        )
+
     def test_corrupt_input_is_detected(self):
         # rows that are not doubly stochastic reach the peel's own guard
         rows = [[2, 0], [0, 1]]
@@ -249,20 +279,13 @@ class TestBirkhoff:
         # No chain makes this block, whose support falls in two parts: the
         # peel takes it whole, as it takes every block of D.
         rows = [[0, 1, 0, 2], [2, 0, 1, 0], [0, 2, 0, 1], [1, 0, 2, 0]]
-        calls = []
-
-        def counted(adjacency, **kwargs):
-            calls.append(len(adjacency))
-            return kernel(adjacency, **kwargs)
-
-        kernel = certify.lex_min_perfect_matching
-        monkeypatch.setattr(certify, "lex_min_perfect_matching", counted)
+        calls = count_solves(monkeypatch)
         third = F(1, 3)
         expected = [((1, 0, 3, 2), third), ((3, 0, 1, 2), third), ((3, 2, 1, 0), third)]
         assert oracles.naive_peel([row[:] for row in rows], 3) == expected
         calls.clear()
         assert peel(rows, 3) == expected
-        # the block's kernel runs once per round of its peel, on all 4 rows
+        # the block's kernel solves once per round of its peel, on all 4 rows
         assert calls == [4, 4, 4]
 
     @given(block_stochastic_rows())
@@ -405,8 +428,8 @@ class TestBlockProduct:
 
     def test_work_stays_inside_the_blocks(self, monkeypatch):
         # The product multiplies eight 8 x 8 blocks, never a 64-wide row,
-        # and the peel calls the kernel once per round of a block's own
-        # peel: once per block breakpoint.
+        # and the peel solves a block's kernel once per round of the
+        # block's own peel: once per block breakpoint.
         a, b = common_refinement(*separated_spread_pair(random.Random(1)))
         assert a.n == 64
         blocks, L = certify._scaled_transfer_rows(a, b)
@@ -418,14 +441,7 @@ class TestBlockProduct:
             for rows, cols in support_components(dense)
         ]
         breakpoints = [list(accumulate(w * L for _, w in terms)) for terms in solo]
-        calls = []
-
-        def counted(adjacency, **kwargs):
-            calls.append(len(adjacency))
-            return kernel(adjacency, **kwargs)
-
-        kernel = certify.lex_min_perfect_matching
-        monkeypatch.setattr(certify, "lex_min_perfect_matching", counted)
+        calls = count_solves(monkeypatch)
         terms = _peel_scaled(blocks, L)
         assert len(calls) == sum(map(len, breakpoints)) < len(blocks) * len(terms)
         assert len(terms) == len(set(chain.from_iterable(breakpoints)))

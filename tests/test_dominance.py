@@ -271,8 +271,23 @@ class TestRefusalRules:
 
     def test_coupling_refuses_a_zero_denominator(self):
         with pytest.raises(ValueError, match="the cell denominator must be positive"):
-            MartingaleCoupling(n=1, cells=((0,),), den=0,
+            MartingaleCoupling(n=1, cells=(((0,), (1,)),), den=0,
                                row_values=(F(0),), col_values=(F(0),))
+
+    # 2 x 2 couplings over den = 4 whose rows and columns each hold 2 and
+    # whose values are all 0: each row lists one flaw of the sparse form
+    @pytest.mark.parametrize("row0, row1, message", [
+        # column -1 would alias column 1, and every sum would hold
+        (((-1, 0), (1, 1)), ((0, 1), (1, 1)), "row 0 has a column outside 0..1"),
+        (((0, 0), (1, 1)), ((1, 1), (1, 1)), "the columns of row 0 must ascend strictly"),
+        (((0, 1), (2, 0)), ((0, 1), (0, 2)), "row 0 lists a zero cell"),
+        (((0, 1), (2,)), ((1,), (2,)), "matrix must be square"),
+    ], ids=["column_out_of_range", "columns_not_ascending", "zero_cell", "unequal_lengths"])
+    def test_coupling_refuses_a_flawed_sparse_row(self, row0, row1, message):
+        zeros = (F(0), F(0))
+        with pytest.raises(ValueError) as refused:
+            MartingaleCoupling(2, (row0, row1), 4, zeros, zeros)
+        assert str(refused.value) == message
 
 
 class TestVerifierDesign:

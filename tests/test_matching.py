@@ -58,9 +58,28 @@ class TestAgainstBruteForce:
         adj = [list(range(5)) for _ in range(5)]
         assert matching.lex_min_perfect_matching(adj) == [0, 1, 2, 3, 4]
 
-    def test_hint_from_supergraph(self):
-        # G' is G minus some edges of G's lex-min matching M (as in a peel
-        # round); the hint M must not change the lex-min matching of G'.
+
+class TestRoundRepair:
+    """One kernel solved, stripped of edges and solved again, as in the
+    rounds of a peel: each solve equals a cold search of the graph as it
+    stands."""
+
+    @staticmethod
+    def solve_after_drops(adj, keep):
+        """Solve `adj`, drop every edge (i, j) with not keep(i, j), solve
+        again; returns both results as lists (or None)."""
+        kernel = matching.LexMinMatching(adj)
+        first = kernel.solve()
+        for i, cols in enumerate(adj):
+            for j in cols:
+                if not keep(i, j):
+                    kernel.drop(i, j)
+        second = kernel.solve()
+        return list(first), None if second is None else list(second)
+
+    def test_dropping_matched_edges(self):
+        # G' is G minus some edges of G's lex-min matching M, as in a peel
+        # round: the repaired matching is the lex-min matching of G'.
         rng = random.Random(321)
         checked = 0
         diverged_at_row_0 = 0
@@ -76,32 +95,31 @@ class TestAgainstBruteForce:
                 for i, cols in enumerate(adj)
             ]
             expected = brute_lex_min(smaller)
+            first, got = self.solve_after_drops(adj, lambda i, j: j in smaller[i])
+            assert first == hint and got == expected
             if expected is None:
                 continue
-            got = matching.lex_min_perfect_matching(smaller, previous=hint)
-            assert got == expected
             checked += 1
             diverged_at_row_0 += expected[0] != hint[0]
         assert diverged_at_row_0 > 50
 
-    def test_hint_prefix_diverges_at_row_0(self):
+    def test_prefix_diverges_at_row_0(self):
         # K3 has lex-min [0, 1, 2]; without the edge (0, 0) rows 0 and 1 move.
-        smaller = [[1, 2], [0, 1, 2], [0, 1, 2]]
-        got = matching.lex_min_perfect_matching(smaller, previous=[0, 1, 2])
-        assert got == [1, 0, 2]
+        k3 = [[0, 1, 2]] * 3
+        first, got = self.solve_after_drops(k3, lambda i, j: (i, j) != (0, 0))
+        assert (first, got) == ([0, 1, 2], [1, 0, 2])
 
-    def test_hint_with_arbitrary_edges_removed(self):
-        # The hint only requires G' to be a subgraph of G: unmatched edges
-        # may go too, and G' may have no perfect matching at all.
+    def test_dropping_arbitrary_edges(self):
+        # Unmatched edges may go too, and G' may have no perfect matching
+        # at all: the repair then returns None.
         rng = random.Random(55)
         for _ in range(400):
             n = rng.randint(1, 6)
             adj = random_adjacency(rng, n)
             hint = brute_lex_min(adj)
             smaller = [[j for j in cols if rng.random() < 0.7] for cols in adj]
-            got = matching.lex_min_perfect_matching(smaller, previous=hint)
-            assert got == brute_lex_min(smaller)
-
+            first, got = self.solve_after_drops(adj, lambda i, j: j in smaller[i])
+            assert first == hint and got == brute_lex_min(smaller)
 
 
 def test_active_backend_names_the_one_kernel():

@@ -471,10 +471,12 @@ class TestWitnessWriters:
         the error the trees give."""
         huge = 10**700 + 1
         cert, _, _ = certify_bundle(dirac(0), dirac(0))
-        small = MartingaleCoupling(1, ((1,),), 1, (F(0),), (F(0),))
+        small = MartingaleCoupling(1, (((0,), (1,)),), 1, (F(0),), (F(0),))
         joint = JointDist(((huge,),), 3, (1,), 1)
         zeros = (F(0), F(0))
-        wide = MartingaleCoupling(2, ((huge, 1), (1, huge)), 2 * (huge + 1), zeros, zeros)
+        wide = MartingaleCoupling(
+            2, (((0, 1), (huge, 1)), ((0, 1), (1, huge))), 2 * (huge + 1), zeros, zeros
+        )
         cases = [
             (lambda: bundle_text(cert, joint, small),
              lambda: dumps(oracles.bundle_obj(cert, joint, small))),
