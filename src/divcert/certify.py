@@ -16,12 +16,16 @@ data:
   step followed by an equal-means step.
 
 The certificate and the coupling are two views of one D, and D exists
-only in that integer form: a single private step runs the checks and
-the transfer product, which holds D block by block.  A transfer mixes
-two slots, so D is zero outside the components of the transfer chain,
-and each component is one dense k x k block of numerators over the
-common denominator L.  The coupling lists each row's nonzero cells from
-its block, over n * L, and the peel reads the blocks (`certify_bundle`
+only in that integer form: a single private step runs the transfer
+product, which holds D block by block.  The transfer chain is also the
+check that the pair holds: on the common grid, equal means and
+second-order dominance are majorization.  So a certified pair reads no
+Fraction mean and no SSD scan, and those checks explain a refusal only
+after the refinement or the chain has failed.  A transfer mixes two
+slots, so D is zero outside the components of the transfer chain, and
+each component is one dense k x k block of numerators over the common
+denominator L.  The coupling lists each row's nonzero cells from its
+block, over n * L, and the peel reads the blocks (`certify_bundle`
 returns both from one product); nothing here holds D as an n x n
 matrix.  The joint law is built from the numerators of eta's grid.  No
 witness cell becomes a Fraction here: the witness types hold integer
@@ -382,20 +386,35 @@ def _transfer_product(
 ) -> tuple[UniformGrid, UniformGrid, Blocks, int]:
     """The one construction behind the certificate and the coupling.
 
-    Checks equal means and second-order dominance, refines both sides to
-    the common uniform grids a and b, and multiplies out the transfer
-    chain: returns (a, b, blocks, L) with a = D b for the D whose blocks
-    over L are `blocks`.
+    Refines both sides to the common uniform grids a and b and multiplies
+    out the transfer chain: returns (a, b, blocks, L) with a = D b for the
+    D whose blocks over L are `blocks`.
+
+    The chain is the check.  On one uniform grid, equal means and
+    second-order dominance are majorization (Hardy, Littlewood and
+    Polya), and the chain's forward pass completes exactly when a is
+    majorized by b.  So a pair that holds reads no Fraction mean and no
+    SSD scan.  A refusal is explained after the refinement or the chain
+    fails, by the checks in their fixed order: unequal means raise
+    MeansDifferError, then a positive quantile-gap integral raises
+    SsdViolatedError.  A pair that passes both is over a size limit, and
+    its GridCapError is raised as it came.  A failed chain on a pair that
+    passes both would contradict the theorem, so it is an AssertionError,
+    as a failed self-verification is.
     """
-    mean_xi = xi.mean()
-    mean_eta = eta.mean()
-    if mean_xi != mean_eta:
-        raise MeansDifferError(mean_xi, mean_eta)
-    alpha = ssd_violation(xi, eta)
-    if alpha is not None:
-        raise SsdViolatedError(alpha)
-    a, b = common_refinement(xi, eta, CERTIFY_SLOT_CAP)
-    blocks, L = _scaled_transfer_rows(a, b)
+    try:
+        a, b = common_refinement(xi, eta, CERTIFY_SLOT_CAP)
+        blocks, L = _scaled_transfer_rows(a, b)
+    except (GridCapError, MajorizationError) as exc:
+        mean_xi, mean_eta = xi.mean(), eta.mean()
+        if mean_xi != mean_eta:
+            raise MeansDifferError(mean_xi, mean_eta) from None
+        alpha = ssd_violation(xi, eta)
+        if alpha is not None:
+            raise SsdViolatedError(alpha) from None
+        if isinstance(exc, MajorizationError):
+            raise AssertionError("the transfer chain failed on a pair that holds") from exc
+        raise
     return a, b, blocks, L
 
 
@@ -433,8 +452,8 @@ def certify_bundle(
     """The certificate, its joint law and the martingale coupling at once.
 
     Equal to ``(*certify_div1(xi, eta), mps_coupling(xi, eta))``
-    but runs the checks and the transfer product once: the coupling is
-    D/n and the certificate is the Birkhoff peel of the same D.
+    but runs the transfer product, and so the check, once: the coupling
+    is D/n and the certificate is the Birkhoff peel of the same D.
     """
     a, b, blocks, L = _transfer_product(xi, eta)
     coupling = _coupling(a, b, blocks, L)

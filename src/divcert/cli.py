@@ -33,7 +33,7 @@ from .dominance import (
     verify_div1_certificate,
     verify_div2_instance,
 )
-from .risk import expected_shortfall, ssd_gap, ssd_violation
+from .risk import _ssd_gap_and_violation, expected_shortfall, ssd_gap
 from .serialize import decimal_str, dumps, load_dist, rational_obj, rational_str
 from .transport import kantorovich, kantorovich_cdf
 
@@ -62,10 +62,9 @@ def cmd_check(args) -> int:
     if args.relation == "fsd":
         key, witness = "cdf_crossing_above", fsd_violation(a, b)
     elif args.relation == "ssd":
-        gap = ssd_gap(a, b)
+        gap, witness = _ssd_gap_and_violation(a, b)
         report["gap"] = rational_obj(gap)
-        # the gap is 0 exactly when no breakpoint gap is positive
-        key, witness = "alpha", ssd_violation(a, b) if gap > 0 else None
+        key = "alpha"
     else:  # majorization, on the common uniform refinement
         ga, gb = common_refinement(a, b)
         report["grid_size"] = ga.n

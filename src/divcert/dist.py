@@ -22,10 +22,13 @@ and the mixture of the marginals, are folds over that view and a weight
 vector (`JointDist._on_scale`): the weights are validated and scaled
 once, and no cell is read as a Fraction.  The folds run over runs of
 equal adjacent cells (`_runs`): each atom's vector is cut into its runs
-once, a run's weight is a difference of the weights' prefix sums, and
-both folds then cost per run, not per cell.  A zero weight needs no
-case of its own: it adds nothing to a run's weight, and a value that
-only runs of weight 0 reach gets mass 0 in the mixture, which drops it.
+once per joint law, and the cut is kept (`JointDist.run_starts`), since
+it does not depend on the weights; the bundle writer reads the same cut
+and writes each run as one repeated string.  A run's weight is a
+difference of the weights' prefix sums, and both folds then cost per
+run, not per cell.  A zero weight needs no case of its own: it adds
+nothing to a run's weight, and a value that only runs of weight 0 reach
+gets mass 0 in the mixture, which drops it.
 A certificate's joint law is almost constant along its terms: on the
 n = 64 pairs of the certify benchmark, a vector of about 180 cells holds
 about 8.3 runs.  A vector with no two neighbours equal is the worst
@@ -231,7 +234,8 @@ class SimpleDist:
                 raise ValueError("probabilities must be non-negative")
             if p == 0:
                 continue
-            merged[v] = merged.get(v, Fraction(0)) + p
+            q = merged.get(v)
+            merged[v] = p if q is None else q + p
         return SimpleDist(tuple(sorted(merged.items())))
 
     @property
@@ -518,25 +522,37 @@ class JointDist:
         """
         return self._on_scale(weights).mixture()
 
+    @cached_property
+    def run_starts(self) -> tuple[list[int], ...]:
+        """Where each run of equal adjacent cells starts, per atom vector:
+        each vector is cut once, for every weight vector and the writer."""
+        return tuple(map(_run_starts, self.rows))
+
     def _on_scale(self, weights: Sequence) -> "_ScaledJoint":
-        """Validate `weights` and cut each atom's vector into its runs of
-        equal adjacent cells (`_runs`), on the one integer scale of the
-        check; no cell is rescaled."""
+        """Validate `weights` and fold each atom's vector over its runs of
+        equal adjacent cells (`_runs` on `run_starts`), on the one integer
+        scale of the check; no cell is rescaled."""
         wnums, wden = simplex_weights(weights, self.m).scale
         cum = list(accumulate(wnums, initial=0))
-        runs = [_runs(row, cum) for row in self.rows]
+        runs = list(map(_runs, self.rows, repeat(cum), self.run_starts))
         return _ScaledJoint(runs, self.vden, wden, self.masses, self.pden)
 
 
-def _runs(cells: Sequence[int], cum: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The runs of equal adjacent entries of `cells`: the value of each run
-    and its weight cum[end] - cum[start], where cum holds the prefix sums
-    of the cells' weights (cum[0] == 0, one more entry than `cells`).  The
-    run starts are found in one C-level pass; the rest is per run."""
-    m = len(cells)
-    starts = [0, *compress(range(1, m), map(ne, cells, cells[1:]))]
+def _run_starts(cells: Sequence[int]) -> list[int]:
+    """The index where each run of equal adjacent entries of `cells`
+    starts, found in one C-level pass."""
+    return [0, *compress(range(1, len(cells)), map(ne, cells, cells[1:]))]
+
+
+def _runs(
+    cells: Sequence[int], cum: Sequence[int], starts: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The runs of equal adjacent entries of `cells`, which start at
+    `starts` (`_run_starts(cells)`): the value of each run and its weight
+    cum[end] - cum[start], where cum holds the prefix sums of the cells'
+    weights (cum[0] == 0, one more entry than `cells`).  Per run only."""
     bounds = list(map(cum.__getitem__, starts))
-    bounds.append(cum[m])
+    bounds.append(cum[len(cells)])
     return list(map(cells.__getitem__, starts)), list(map(sub, bounds[1:], bounds))
 
 

@@ -25,8 +25,9 @@ integers only.
 
 Both verifiers fold over runs of equal adjacent cells, so they cost per
 run, not per cell: `combine` sums each slot over the runs of equal
-sources in its column (perm_k[i])_k, and `verify_div2_instance` cuts
-each joint vector into its runs once for both of its folds.  Each term
+sources in its column (perm_k[i])_k, and `verify_div2_instance` folds
+both laws over the runs each joint vector is cut into once, a cut the
+joint keeps (`JointDist.run_starts`).  Each term
 of a Birkhoff peel moves the slots of few blocks of D, so a column
 holds few runs: on the n = 64 pairs of the certify benchmark, about 8.7
 of about 180 cells.
@@ -48,6 +49,7 @@ from .dist import (
     UniformGrid,
     _dist_on_scale,
     _least_scale,
+    _run_starts,
     _runs,
     _scale_rows,
     _slot_scale,
@@ -182,7 +184,7 @@ class PermutationCertificate:
         cum, wden = self._weight_scale
         acc = []
         for column in zip(*(perm for perm, _ in self.terms)):
-            sources, weights = _runs(column, cum)
+            sources, weights = _runs(column, cum, _run_starts(column))
             acc.append(sum(map(mul, map(vnums.__getitem__, sources), weights)))
         return acc, wden * vden
 
@@ -316,8 +318,8 @@ def verify_div2_instance(
     """Check a weighted-position witness: the convex combination of the
     joint coordinates must equal xi and the mixture of its marginals must
     equal eta, both exactly.  Both laws are folds over the integer view
-    the joint holds (`JointDist._on_scale`), which cuts each atom's vector
-    into its runs of equal adjacent cells once for both folds; a zero
+    the joint holds (`JointDist._on_scale`), over the runs of equal
+    adjacent cells that each atom's vector is cut into once; a zero
     weight is a run of weight 0 that adds nothing.  The mixture runs only
     when the convex combination matches, and no marginal is built."""
     scaled = joint._on_scale(weights)

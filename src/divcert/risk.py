@@ -117,8 +117,19 @@ def ssd_gap(xi: SimpleDist, eta: SimpleDist) -> Fraction:
     The function inside the sup is piecewise linear, so the sup is
     attained at a breakpoint; zero iff xi second-order dominates eta.
     """
+    return _ssd_gap_and_violation(xi, eta)[0]
+
+
+def _ssd_gap_and_violation(xi: SimpleDist, eta: SimpleDist) -> tuple[Fraction, Fraction | None]:
+    """(ssd_gap(xi, eta), ssd_violation(xi, eta)) from one walk of the
+    breakpoints: the gap is the largest G(alpha), clamped at 0, and the
+    witness the first alpha whose G(alpha) is positive, the first to
+    raise the running maximum above 0."""
     worst = Fraction(0)
-    for _, gap in _gap_at_breakpoints(xi, eta):
+    witness = None
+    for alpha, gap in _gap_at_breakpoints(xi, eta):
         if gap > worst:
             worst = gap
-    return worst
+            if witness is None:
+                witness = alpha
+    return worst, witness

@@ -15,10 +15,13 @@ Every JSON file divcert writes is the text of ``json.dumps(obj, indent=2)
   the martingale coupling.  `coupling_text` writes the coupling of
   `divcert mps` with the same renderer.  Both render from the integer
   views the witness types hold, with no tree in between: each distinct
-  value is printed once and every list is joined in C.  A bundle holds
-  tens of thousands of scalars, and CPython's C encoder does not handle
-  `indent`: json.dumps(indent=2) would run its pure-Python encoder on
-  every one of them.
+  value is printed once and every list is joined in C.  The joint law is
+  cut into runs of equal adjacent cells once (`JointDist.run_starts`,
+  which the div-2 check has already made), and each of its vectors is
+  written per run, a run of k cells as one string repeated k times.  A
+  bundle holds tens of thousands of scalars, and CPython's C encoder
+  does not handle `indent`: json.dumps(indent=2) would run its
+  pure-Python encoder on every one of them.
 * `dumps` serves every other report, from reject reports to lift tables:
   it is json.dumps(indent=2) itself, behind a walk that raises TypeError
   on a float or a non-str key.
@@ -34,6 +37,7 @@ import decimal
 import json
 import sys
 from fractions import Fraction
+from operator import mul, sub
 
 from .certify import LiftResult
 from .dist import JointDist, SimpleDist, as_rational
@@ -204,16 +208,6 @@ def dumps(obj) -> str:
 # validators see to that.
 
 
-def _rows(rows, den: int, newline: str) -> list[str]:
-    """Each row of numerators over `den` as a JSON list of rational strings
-    opening at `newline`.  Each distinct numerator is printed once: a
-    witness repeats a few values in thousands of cells."""
-    text = {k: rational_str(Fraction(k, den)) for k in set().union(*rows)}
-    inner = newline + "  "
-    head, sep, tail = f'[{inner}"', f'",{inner}"', f'"{newline}]'
-    return [f"{head}{sep.join(map(text.__getitem__, row))}{tail}" for row in rows]
-
-
 def _terms(cert: PermutationCertificate, newline: str) -> str:
     """The certificate's "terms" list: {"perm": [...], "weight": "..."}."""
     item = newline + "  "
@@ -232,17 +226,32 @@ def _terms(cert: PermutationCertificate, newline: str) -> str:
 
 
 def _joint(j: JointDist, newline: str) -> str:
-    """{"m": m, "atoms": [{"v": [...], "p": "..."}, ...]}"""
+    """{"m": m, "atoms": [{"v": [...], "p": "..."}, ...]}
+
+    Each vector is written run by run, on the cut the joint keeps
+    (`JointDist.run_starts`): a run of k equal cells is one string, its
+    value's text and separator repeated k times.  Each distinct numerator
+    is printed once: a vector of about 180 cells holds about 8 runs."""
     inner = newline + "  "
     atom = inner + "  "
     field = atom + "  "
-    vectors = _rows(j.rows, j.vden, field)
+    cell = field + "  "
+    sep = f'",{cell}"'
+    m = j.m
+    firsts = [list(map(row.__getitem__, starts)) for row, starts in zip(j.rows, j.run_starts)]
+    piece = {k: rational_str(Fraction(k, j.vden)) + sep for k in set().union(*firsts)}
+
+    def cells(values: list[int], starts: list[int]) -> str:
+        lengths = map(sub, [*starts[1:], m], starts)
+        return "".join(map(mul, map(piece.__getitem__, values), lengths))[: -len(sep)]
+
     mass = {k: rational_str(Fraction(k, j.pden)) for k in set(j.masses)}
-    head, mid, tail = f'{{{field}"v": ', f',{field}"p": "', f'"{atom}}}'
+    head, mid, tail = f'{{{field}"v": [{cell}"', f'"{field}],{field}"p": "', f'"{atom}}}'
     atoms = ("," + atom).join(
-        f"{head}{vec}{mid}{mass[k]}{tail}" for vec, k in zip(vectors, j.masses)
+        f"{head}{cells(values, starts)}{mid}{mass[k]}{tail}"
+        for values, starts, k in zip(firsts, j.run_starts, j.masses)
     )
-    return f'{{{inner}"m": {j.m},{inner}"atoms": [{atom}{atoms}{inner}]{newline}}}'
+    return f'{{{inner}"m": {m},{inner}"atoms": [{atom}{atoms}{inner}]{newline}}}'
 
 
 def _coupling(c: MartingaleCoupling, newline: str) -> str:

@@ -17,6 +17,7 @@ import divcert.dominance
 import helpers
 import oracles
 from divcert import (
+    GridCapError,
     MajorizationError,
     MartingaleCoupling,
     MeansDifferError,
@@ -458,9 +459,11 @@ class TestSelfCheck:
         # Both verifiers cut each slot's column of sources, or each joint
         # atom's vector, into runs of equal adjacent cells once; combine and
         # the convex combination then multiply once per run, not once per
-        # cell, and the mixture reads the same runs.
+        # cell, and the mixture reads the same runs.  The joint keeps its
+        # cut, and the bundle writer reads it: across the div-2 check and
+        # the write, each joint vector is cut once, and the writer cuts none.
         xi, eta = separated_spread_pair(random.Random(1))
-        cert, joint = certify_div1(xi, eta)
+        cert, joint, coupling = certify_bundle(xi, eta)
         n, m = cert.n, len(cert.terms)
         column_runs = sum(map(run_count, zip(*(perm for perm, _ in cert.terms))))
         joint_runs = sum(map(run_count, joint.rows))
@@ -470,8 +473,8 @@ class TestSelfCheck:
         runs = divcert.dist._runs
         made, products = [], []
 
-        def counted_runs(cells, cum):
-            out = runs(cells, cum)
+        def counted_runs(*args):
+            out = runs(*args)
             made.append(len(out[0]))
             return out
 
@@ -484,10 +487,22 @@ class TestSelfCheck:
         assert verify_div1_certificate(xi, eta, cert)
         assert (len(made), sum(made), len(products)) == (n, column_runs, column_runs)
 
+        run_starts = divcert.dist._run_starts
+        cuts = []
+
+        def counted_starts(cells):
+            cuts.append(len(cells))
+            return run_starts(cells)
+
         made.clear()
         monkeypatch.setattr(divcert.dist, "_runs", counted_runs)
+        monkeypatch.setattr(divcert.dist, "_run_starts", counted_starts)
         assert verify_div2_instance(xi, eta, joint, cert.weights)
         assert (len(made), sum(made)) == (len(joint.rows), joint_runs)
+        assert cuts == [m] * len(joint.rows)
+        cuts.clear()
+        bundle_text(cert, joint, coupling)
+        assert cuts == []
 
         scaled = joint._on_scale(cert.weights)
         products.clear()
@@ -559,6 +574,49 @@ class TestCertifyBundle:
             cert, joint, coupling = certify_bundle(xi, eta)
             assert (cert, joint) == certify_div1(xi, eta)
             assert coupling == mps_coupling(xi, eta)
+
+    def test_the_chain_decides_and_a_refusal_runs_the_checks_in_order(self, monkeypatch):
+        # A certified pair reads no Fraction mean and no SSD scan.  A refused
+        # pair runs them after the refinement or the chain fails: the two
+        # means first, then the scan, then the size limit's own error.
+        calls = []
+        mean = SimpleDist.mean
+        violation = certify.ssd_violation
+
+        def counted_mean(d):
+            calls.append("mean")
+            return mean(d)
+
+        def counted_violation(xi, eta):
+            calls.append("ssd")
+            return violation(xi, eta)
+
+        monkeypatch.setattr(SimpleDist, "mean", counted_mean)
+        monkeypatch.setattr(certify, "ssd_violation", counted_violation)
+        certify_bundle(*separated_spread_pair(random.Random(1)))
+        assert calls == []
+        coin = SimpleDist.from_pairs([(-1, HALF), (1, HALF)])
+        fine = SimpleDist.from_pairs([(0, F(1, 1031)), (1, F(1030, 1031))])
+        for pair, error, order in (
+            ((dirac(0), dirac(1)), MeansDifferError, ["mean", "mean"]),
+            ((coin, dirac(0)), SsdViolatedError, ["mean", "mean", "ssd"]),
+            ((fine, fine), GridCapError, ["mean", "mean", "ssd"]),
+        ):
+            calls.clear()
+            with pytest.raises(error):
+                certify_bundle(*pair)
+            assert calls == order
+
+    def test_a_failed_chain_on_a_pair_that_holds_is_an_assertion(self, monkeypatch):
+        # equal means and second-order dominance are majorization on the
+        # common grid, so the chain cannot fail on such a pair
+        def failed(a, b):
+            raise MajorizationError(0)
+
+        monkeypatch.setattr(certify, "t_transform_chain", failed)
+        for build in (certify_bundle, certify_div1, mps_coupling):
+            with pytest.raises(AssertionError, match="transfer chain failed"):
+                build(dirac(2), COIN13)
 
 
 class TestMpsCoupling:

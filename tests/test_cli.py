@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import divcert.risk
 import helpers
 from divcert import (
     SimpleDist,
@@ -97,6 +98,23 @@ class TestCheck:
         assert digest.hexdigest() == (
             "02d2cc7a370aa05cbdae0fe67120755ff63a5431c37d016d26dba9d09dade1e4"
         )
+
+    def test_ssd_walks_the_quantile_steps_once(self, files, capsys, monkeypatch):
+        # the gap and the first witness come from one walk, also when the
+        # gap is positive
+        walks = []
+        steps = divcert.risk.quantile_steps
+
+        def counted(a, b):
+            walks.append((a, b))
+            return steps(a, b)
+
+        monkeypatch.setattr(divcert.risk, "quantile_steps", counted)
+        for a, b, code in (("zero", "coin", 0), ("coin", "zero", 1), ("zero", "two", 1)):
+            walks.clear()
+            assert main(["check", "ssd", files[a], files[b]]) == code
+            capsys.readouterr()
+            assert len(walks) == 1
 
     def test_missing_file(self, files, capsys):
         assert main(["check", "ssd", files["zero"], str(files["tmp"] / "nope.json")]) == 2
@@ -190,6 +208,92 @@ class TestCertify:
         assert self._digest(tmp_path, "mps") == (
             "aa807955087a55dd5262cf74a2982bf7f03e7ba95035355d50594d201fab300a"
         )
+
+
+#: Outcome of `certify` and `mps` on each relation against each size limit:
+#: (limit, relation) -> (exit code, {command: (what its report's reason or
+#: its output starts with, sha256 prefix of its stdout + stderr)}).  The
+#: limits are none, CERTIFY_SLOT_CAP (a common refinement of 1031 slots)
+#: and CERTIFY_DENOMINATOR_BITS (the gamma pair of
+#: test_certify_denominator_bound, its n = 1024 product stopped at
+#: transfer 64).  A failed relation exits 1 whatever the limit; a pair that
+#: holds exits 2 above either limit.
+REFUSALS = {
+    ("none", "means differ"): (1, {
+        "certify": ("means differ", "f3f888daa2adf03d"),
+        "mps": ("means differ: 0 vs 2", "17b12fddd4ced236")}),
+    ("none", "ssd violated"): (1, {
+        "certify": ("ssd violated at alpha=1/2", "61062897419a57fa"),
+        "mps": ("second-order dominance violated at level 1/2", "d030f1f2aca8769b")}),
+    ("none", "holds"): (0, {
+        "certify": ('{\n  "certified": true', "e48b259ef2aa6802"),
+        "mps": ('{\n  "n": 2', "8961192eec3d5d6e")}),
+    ("slot cap", "means differ"): (1, {
+        "certify": ("means differ", "89c9d41657252192"),
+        "mps": ("means differ: 1030/1031 vs 1029/1031", "ba7181a957609e21")}),
+    ("slot cap", "ssd violated"): (1, {
+        "certify": ("ssd violated at alpha=1/1031", "2d114c2689a3ce3d"),
+        "mps": ("second-order dominance violated at level 1/1031", "553e26e3114ddb43")}),
+    ("slot cap", "holds"): (2, {
+        command: ("error: uniform refinement needs 1031 atoms", "7739476b63562e98")
+        for command in ("certify", "mps")}),
+    ("denominator bound", "means differ"): (1, {
+        "certify": ("means differ", "cc16d808aea61e46"),
+        "mps": ("means differ: ", "0e7b6c2e2286a3a5")}),
+    ("denominator bound", "ssd violated"): (1, {
+        "certify": ("ssd violated at alpha=1/1024", "1f85be75f6db4df6"),
+        "mps": ("second-order dominance violated at level 1/1024", "0fcdc10d32a16722")}),
+    ("denominator bound", "holds"): (2, {
+        command: ("error: transfer 64 of 1023 needs", "d8235f0d24b15b18")
+        for command in ("certify", "mps")}),
+}
+
+
+def refusal_pairs() -> dict:
+    """The (xi, eta) pair of each REFUSALS case."""
+    fine = SimpleDist.from_pairs([(0, F(1, 1031)), (1, F(1030, 1031))])
+    eta = demo.gamma_mean_quantile_dist(1, 1024)
+    zeta = decompose_ssd(demo.gamma_mean_quantile_dist(2, 1024), eta).zeta
+    return {
+        ("none", "means differ"): (dirac(0), dirac(2)),
+        ("none", "ssd violated"): (COIN, dirac(0)),
+        ("none", "holds"): (dirac(2), TWO_POINT),
+        ("slot cap", "means differ"): (
+            fine, SimpleDist.from_pairs([(0, F(2, 1031)), (1, F(1029, 1031))])),
+        ("slot cap", "ssd violated"): (
+            SimpleDist.from_pairs([(0, F(1, 1031)), (1, F(1029, 1031)), (2, F(1, 1031))]),
+            dirac(1)),
+        ("slot cap", "holds"): (fine, fine),
+        ("denominator bound", "means differ"): (zeta, eta.shift(-1)),
+        ("denominator bound", "ssd violated"): (eta, zeta),
+        ("denominator bound", "holds"): (zeta, eta),
+    }
+
+
+@pytest.fixture(scope="module")
+def refusal_files(tmp_path_factory):
+    """The pair of each REFUSALS case, written to files."""
+    tmp = tmp_path_factory.mktemp("refusals")
+    paths = {}
+    for k, (case, pair) in enumerate(refusal_pairs().items()):
+        paths[case] = []
+        for side, d in zip("xe", pair):
+            path = tmp / f"{side}{k}.json"
+            path.write_text(dumps(dist_to_obj(d)))
+            paths[case].append(str(path))
+    return paths
+
+
+class TestRefusalOrder:
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_exit_code_and_bytes(self, case, refusal_files, capsys):
+        code, outcomes = REFUSALS[case]
+        for command, (start, digest) in outcomes.items():
+            assert main([command, *refusal_files[case]]) == code
+            out, err = capsys.readouterr()
+            shown = json.loads(out)["reason"] if code == 1 else out + err
+            assert shown.startswith(start), (command, shown[:80])
+            assert hashlib.sha256((out + err).encode()).hexdigest()[:16] == digest, command
 
 
 class TestOtherCommands:

@@ -63,7 +63,7 @@ from divcert import (
     verify_div1_certificate,
     verify_div2_instance,
 )
-from divcert.dist import _runs, _slot_scale, common_scale
+from divcert.dist import _run_starts, _runs, _slot_scale, common_scale
 from divcert.serialize import _joint, dumps, joint_from_obj
 
 #: value denominators are 2^a 3^b; weight denominators come from the drawn
@@ -553,7 +553,7 @@ class TestRunFolds:
         cells = data.draw(run_cells(pool, m))
         weights = data.draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
         groups = [(v, [w for _, w in g]) for v, g in groupby(zip(cells, weights), lambda c: c[0])]
-        assert _runs(cells, list(accumulate(weights, initial=0))) == (
+        assert _runs(cells, list(accumulate(weights, initial=0)), _run_starts(cells)) == (
             [v for v, _ in groups], [sum(ws) for _, ws in groups]
         )
 

@@ -148,6 +148,20 @@ class TestSsdGap:
             assert all(v <= gap for v in seen)
             assert gap == 0 or gap in seen
 
+    def test_one_walk_gives_the_gap_and_the_first_witness(self):
+        # G reads -1/4, -1/4, 3/4, 9/4 at levels 1/4 .. 1: the first
+        # witness comes late and the gap later still; then a pair that
+        # holds, and random pairs
+        xi = SimpleDist.from_pairs([(-3, F(1, 2)), (-2, F(1, 2))])
+        eta = SimpleDist.from_pairs([(v, F(1, 4)) for v in (-4, -3, 2, 4)])
+        assert divcert.risk._ssd_gap_and_violation(xi, eta) == (F(9, 4), F(3, 4))
+        pairs = [(xi, eta), (dirac(0), COIN)]
+        rng = random.Random(14)
+        pairs += [(helpers.rand_dist(rng), helpers.rand_dist(rng)) for _ in range(100)]
+        for xi, eta in pairs:
+            both = divcert.risk._ssd_gap_and_violation(xi, eta)
+            assert both == (ssd_gap(xi, eta), ssd_violation(xi, eta))
+
 
 class TestSsdViolation:
     def test_stops_at_the_first_positive_gap(self, monkeypatch):
