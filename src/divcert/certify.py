@@ -40,8 +40,8 @@ a perfect matching picks one independently in each block, and the
 lex-min matching is the union of the blocks' own lex-min matchings.  A
 round lowers a block's matched cells by at most that block's own
 minimum, so each block of D runs exactly the peel it would run alone,
-and the certificate's peel is the merge of those block peels at their
-cumulative-weight breakpoints (`_peel_scaled`).
+and the certificate's peel is the merge of those block peels at the
+cumulative weights where a block's matching starts (`_peel_scaled`).
 The chain runs on integer numerators in one forward pass: no transfer
 gives a slot a surplus, so the pointer to the smallest surplus slot
 never moves back.
@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import add, sub
+from typing import Iterator
 
 from .dist import (
     GridCapError,
@@ -126,7 +127,7 @@ class LiftResult:
     `delta` lives on the slots of xi's refined grid; `gamma_top` is added
     to the top slot of eta's.  The lifted pair has equal means and the
     lifted xi second-order dominates the lifted eta, with the mean of
-    delta equal to the dominance gap of the original pair.
+    delta equal to `gap`, the dominance gap of the original pair.
     """
 
     xi_grid: tuple[Fraction, ...]
@@ -135,6 +136,7 @@ class LiftResult:
     gamma_top: Fraction
     lifted_xi: SimpleDist
     lifted_eta: SimpleDist
+    gap: Fraction
 
     def __post_init__(self):
         if any(d < 0 for d in self.delta):
@@ -291,29 +293,25 @@ def _scaled_transfer_rows(a: UniformGrid, b: UniformGrid) -> tuple[Blocks, int]:
     return blocks, L
 
 
-_NO_MATCHING = (
-    "positive entries admit no perfect matching; the matrix is not doubly stochastic"
-)
-
-
-def _peel_block(cells: list[list[int]], L: int) -> list[tuple[int, tuple[int, ...]]]:
+def _peel_block(cells: list[list[int]], L: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Birkhoff peeling of one block alone, consuming `cells`: each round
     takes the block's lex-min perfect matching and subtracts its least
     matched cell.  One kernel holds the block's support for the whole
     peel: a cell that reaches zero leaves it, and the next round repairs
-    the matching from there.  Returns (t, matching) per round, t the
-    weight peeled so far at the round's end, up to the first t >= L.
-    Every round zeroes a cell, so the support runs out, and the kernel
-    reports it, if L is never reached.
+    the matching from there.  Yields (t, matching) per round, t the
+    weight peeled before the round, while t < L.  Every round zeroes a
+    cell, so the support runs out, and the kernel reports it, if L is
+    never reached.
     """
     slots = range(len(cells))
     kernel = LexMinMatching([compress(slots, row) for row in cells])
-    rounds = []
     t = 0
     while t < L:
         match = kernel.solve()
         if match is None:
-            raise ValueError(_NO_MATCHING)
+            raise ValueError("positive entries admit no perfect matching; "
+                             "the matrix is not doubly stochastic")
+        yield t, match
         weight = min(map(list.__getitem__, cells, match))
         for i, (row, j) in enumerate(zip(cells, match)):
             left = row[j] - weight
@@ -321,8 +319,6 @@ def _peel_block(cells: list[list[int]], L: int) -> list[tuple[int, tuple[int, ..
             if not left:
                 kernel.drop(i, j)
         t += weight
-        rounds.append((t, match))
-    return rounds
 
 
 def _peel_scaled(blocks: Blocks, L: int) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -343,42 +339,33 @@ def _peel_scaled(blocks: Blocks, L: int) -> list[tuple[tuple[int, ...], Fraction
     block's matched cells by at most that block's own minimum: the
     block's support, hence its matching, changes only when its own least
     cell reaches zero.  So every block runs exactly the peel it would run
-    alone (`_peel_block`, on a copy of its rows), and its matching changes
-    only at its own breakpoints, the cumulative weights at which a round
-    of its solo peel ends.  Merging them gives the whole peel: each
-    distinct breakpoint t, in ascending order up to L, ends one term, the
-    union of the matchings active on (t_prev, t], of weight
-    (t - t_prev)/L.  Breakpoints that several blocks share give one term.
-    A block whose support falls apart as its cells reach zero needs
-    nothing more: its kernel search matches every part at once.  A block
-    with no perfect matching fails in that search.  Blocks and the
-    kernel's state across rounds change only the speed: the matching, and
-    so the certificate, is the same as a cold search of the whole support
-    gives.
+    alone (`_peel_block`, on a copy of its rows), and each of its
+    matchings holds from the weight peeled when it starts to the start of
+    the next.  Merging them gives the whole peel: each distinct start t,
+    in ascending order, begins one term, the union of the matchings
+    active on (t, t_next], of weight (t_next - t)/L, where t_next is the
+    next start or L.  Starts that several blocks share give one term, and
+    every block starts at 0.  A block whose support falls apart as its
+    cells reach zero needs nothing more: its kernel search matches every
+    part at once.  A block with no perfect matching fails in that search.
+    Blocks and the kernel's state across rounds change only the speed:
+    the matching, and so the certificate, is the same as a search of the
+    whole support from scratch gives.
     """
-    n = sum(len(slots) for slots, _ in blocks)
-    perm = [0] * n
-    # breakpoint -> (slots, matching) of the blocks whose next matching
-    # starts there
-    after: dict[int, list[tuple[list[int], list[int]]]] = {}
+    perm = [0] * sum(len(slots) for slots, _ in blocks)
+    # weight peeled -> (slots, matching) of the blocks whose matching starts there
+    starts: dict[int, list[tuple[list[int], tuple[int, ...]]]] = {}
     for slots, cells in blocks:
-        rounds = _peel_block([row[:] for row in cells], L)
-        for i, k in zip(slots, rounds[0][1]):
-            perm[i] = slots[k]
-        for (t, _), (_, match) in zip(rounds, rounds[1:]):
-            after.setdefault(t, []).append((slots, match))
-        after.setdefault(rounds[-1][0], [])
+        for t, match in _peel_block([row[:] for row in cells], L):
+            starts.setdefault(t, []).append((slots, match))
+    ts = sorted(starts)
     terms = []
-    prev = 0
-    for t in sorted(after):
-        terms.append((tuple(perm), Fraction(t - prev, L)))
-        if t == L:
-            return terms
-        for slots, match in after[t]:
+    for t, end in zip(ts, ts[1:] + [L]):
+        for slots, match in starts[t]:
             for i, k in zip(slots, match):
                 perm[i] = slots[k]
-        prev = t
-    raise ValueError(_NO_MATCHING)  # no block's peel ends at L
+        terms.append((tuple(perm), Fraction(end - t, L)))
+    return terms
 
 
 def _transfer_product(
@@ -491,8 +478,8 @@ def lift_delta_gamma(xi: SimpleDist, eta: SimpleDist) -> LiftResult:
     0, M_k = max(0, S_1, ..., S_k): the least that make every prefix of
     x + delta dominate that of y, and delta_k = M_k - M_{k-1} keeps x + delta
     sorted.  The top slot of y absorbs gamma_top = M_n - S_n >= 0, so both
-    lifted grids share one mean, and the mean of delta, M_n / n, equals the
-    dominance gap exactly.  All of it runs on one integer scale.
+    lifted grids share one mean, and the mean of delta, M_n / n, is the
+    dominance gap exactly, returned as `gap`.  All of it runs on one integer scale.
     """
     gx, gy = common_refinement(xi, eta)
     n = gx.n
@@ -509,6 +496,7 @@ def lift_delta_gamma(xi: SimpleDist, eta: SimpleDist) -> LiftResult:
         gamma_top=Fraction(gamma_num, den),
         lifted_xi=_dist_on_scale(Counter(map(add, xnums, slack)), den, n),
         lifted_eta=_dist_on_scale(Counter(ynums), den, n),
+        gap=Fraction(peaks[-1], den * n),
     )
 
 

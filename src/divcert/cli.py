@@ -33,7 +33,7 @@ from .dominance import (
     verify_div1_certificate,
     verify_div2_instance,
 )
-from .risk import _ssd_gap_and_violation, expected_shortfall, ssd_gap
+from .risk import _ssd_gap_and_violation, expected_shortfall
 from .serialize import decimal_str, dumps, load_dist, rational_obj, rational_str
 from .transport import kantorovich, kantorovich_cdf
 
@@ -134,7 +134,7 @@ def cmd_lift(args) -> int:
     eta = load_dist(args.input_eta)
     result = lift_delta_gamma(xi, eta)
     payload = serialize.lift_to_obj(result)
-    payload["gap"] = rational_obj(ssd_gap(xi, eta))
+    payload["gap"] = rational_obj(result.gap)
     _emit(dumps(payload), args.out)
     return OK
 

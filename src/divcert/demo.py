@@ -27,7 +27,7 @@ import decimal
 from fractions import Fraction
 
 from .dist import SimpleDist, dirac
-from .risk import expected_shortfall
+from .risk import _check_level, expected_shortfall
 from .transport import kantorovich
 
 #: Most Poisson terms lln_table sums per Newton step over all its stages,
@@ -117,6 +117,7 @@ def lln_table(max_doublings: int, alpha, grid: int) -> list[tuple[int, Fraction,
     if grid * (2 ** (max_doublings + 1) - 1) > MAX_POISSON_TERMS:
         raise ValueError(f"{max_doublings} doublings on a grid of {grid} sum more than "
                          f"MAX_POISSON_TERMS = {MAX_POISSON_TERMS} terms per Newton step")
+    alpha = _check_level(alpha)
     rows = []
     for k in range(max_doublings + 1):
         d = gamma_mean_quantile_dist(2**k, grid)

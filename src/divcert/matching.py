@@ -29,11 +29,10 @@ the previous solve's matching M, no column below M's column for the
 next row extends to a perfect matching of the old graph, hence none
 does of its subgraph now.  So candidates below it are skipped until the
 prefix first differs, and a row still on it needs no search.  The
-floor changes only the work: the matching is the one a cold solve of
-the same graph returns.
-
-`lex_min_perfect_matching` is the cold entry point: one solve of a new
-kernel.
+first solve runs the same loop on a floor of zeros, which no column
+lies below, so the lemma holds there trivially.  The floor changes
+only the work: the matching is the one a new kernel on the same graph
+returns.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class LexMinMatching:
         self.row_of = [-1] * k
         self.free = list(range(k))  # rows to re-match at the next solve
         self.open = (1 << k) - 1  # unmatched columns
-        self.floor: tuple[int, ...] | None = None  # the last solve's matching
+        self.floor = (0,) * k  # the last solve's matching; no column lies below 0
         self.parent = [0] * k  # reused by every search: one slot per row or column
 
     def drop(self, row: int, col: int) -> None:
@@ -97,24 +96,19 @@ class LexMinMatching:
         self.free.clear()
         cols, col_of = self.cols, self.col_of
         floor = self.floor
-        same = floor is not None
+        same = True  # the pinned prefix is the floor's
         pinned = 0  # columns of the pinned rows
         after = (1 << len(col_of)) - 1  # rows after the one being pinned
         for r in range(len(col_of)):
             cur = col_of[r]
             after ^= 1 << r
-            if same:
-                low = floor[r]
-                if cur == low:
-                    pinned |= 1 << cur
-                    continue
+            low = floor[r] if same else 0
+            if cur != low:
                 cand = cols[r] & ((1 << cur) - (1 << low)) & ~pinned
-            else:
-                cand = cols[r] & ((1 << cur) - 1) & ~pinned
-            if cand:
-                cur = self._repin(r, cur, cand, after)
+                if cand:
+                    cur = self._repin(r, cur, cand, after)
+                same = same and cur == low
             pinned |= 1 << cur
-            same = same and cur == low
         self.floor = match = tuple(col_of)
         return match
 
@@ -194,10 +188,3 @@ class LexMinMatching:
             if y < 0:
                 return c
             x = y
-
-
-def lex_min_perfect_matching(adjacency: Sequence[Sequence[int]]) -> list[int] | None:
-    """Return the lex-smallest perfect matching as a row->column list, or
-    None when the graph has none."""
-    match = LexMinMatching(adjacency).solve()
-    return None if match is None else list(match)

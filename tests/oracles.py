@@ -58,7 +58,7 @@ from divcert import (
 )
 from divcert import certify
 from divcert.dist import MAX_DECIMAL_EXPONENT, GridCapError
-from divcert.matching import lex_min_perfect_matching
+from divcert.matching import LexMinMatching
 from divcert.serialize import rational_str
 
 
@@ -262,7 +262,7 @@ def naive_peel(rows: list[list[int]], L: int) -> list[tuple[tuple[int, ...], Fra
     remaining = L
     terms = []
     for _ in range(n * n + 1):
-        perm = lex_min_perfect_matching([[j for j, x in enumerate(row) if x] for row in rows])
+        perm = LexMinMatching([[j for j, x in enumerate(row) if x] for row in rows]).solve()
         if perm is None:
             raise ValueError("positive entries admit no perfect matching")
         weight = min(rows[i][perm[i]] for i in range(n))
@@ -621,6 +621,7 @@ def naive_lift_delta_gamma(xi: SimpleDist, eta: SimpleDist) -> LiftResult:
         gamma_top=gamma_top,
         lifted_xi=SimpleDist.from_pairs((v, share) for v in lifted_x),
         lifted_eta=SimpleDist.from_pairs((v, share) for v in lifted_y),
+        gap=sum(delta) * share,
     )
 
 

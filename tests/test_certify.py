@@ -1,5 +1,6 @@
 """Constructive certificates: transfers, peeling, couplings, lifts."""
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -134,6 +135,10 @@ class TestTransforms:
             for tr in chain:
                 tr.apply(worked)
             assert worked == list(a.values)
+
+    def test_grids_of_different_sizes_are_refused(self):
+        with pytest.raises(ValueError, match="grid sizes differ: 2 vs 3"):
+            t_transform_chain(grid(1, 1), grid(0, 1, 2))
 
     def test_chain_is_linear_at_scale(self):
         a, b = common_refinement(*helpers.spread_pair(random.Random(3), 8, 10))
@@ -721,6 +726,24 @@ class TestLift:
         assert res.gamma_top == 1
         assert res.lifted_eta == grid(-2, 2).dist
         assert res.lifted_xi.mean() == res.lifted_eta.mean() == 0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta", (F(0), F(-1)), "slack values must be non-negative"),
+        ("gamma_top", F(-1), "top-slot slack must be non-negative"),
+    ], ids=["slack", "gamma_top"])
+    def test_negative_slack_is_refused(self, field, value, message):
+        res = lift_delta_gamma(grid(2, 2).dist, grid(1, 4).dist)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(res, **{field: value})
+
+    def test_gap_is_the_dominance_gap(self):
+        rng = random.Random(7)
+        dens = [1, 2, 3, 4, 6, 8, 12, 24]
+        for _ in range(300):
+            xi = helpers.rand_dist_on_denominator(rng, prob_den=rng.choice(dens))
+            eta = helpers.rand_dist_on_denominator(rng, prob_den=rng.choice(dens))
+            res = lift_delta_gamma(xi, eta)
+            assert res.gap == ssd_gap(xi, eta) == sum(res.delta) / len(res.delta)
 
     def test_identities_on_random_pairs(self):
         rng = random.Random(7)

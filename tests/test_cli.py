@@ -175,6 +175,17 @@ class TestCertify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reason"] == "ssd violated at alpha=1/2"
 
+    @pytest.mark.parametrize("check, message", [
+        ("verify_div1_certificate", "constructed certificate failed self-verification"),
+        ("verify_div2_instance", "witnessing joint law failed self-verification"),
+    ])
+    def test_failed_self_check_writes_nothing(self, files, monkeypatch, check, message):
+        monkeypatch.setattr(cli, check, lambda *args: False)
+        out_path = files["tmp"] / "cert.json"
+        with pytest.raises(AssertionError, match=message):
+            main(["certify", files["two"], files["pair13"], "--out", str(out_path)])
+        assert not out_path.exists()
+
     @staticmethod
     def _digest(tmp_path, command):
         """sha256 of every byte `divcert <command> --out` writes for the 24
@@ -301,6 +312,12 @@ class TestOtherCommands:
         assert main(["kantorovich", files["zero"], files["coin"]]) == 0
         assert capsys.readouterr().out.split()[0] == "1"
 
+    def test_kantorovich_forms_that_disagree_raise(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "kantorovich_cdf", lambda a, b: F(-1))
+        with pytest.raises(AssertionError, match="the two transport representations disagree"):
+            main(["kantorovich", files["zero"], files["coin"]])
+        assert capsys.readouterr().out == ""
+
     def test_mps(self, files, capsys):
         assert main(["mps", files["two"], files["pair13"]]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -320,6 +337,21 @@ class TestOtherCommands:
         assert payload["delta"] == ["0", "1"]
         assert payload["gamma_top"] == "0"
         assert payload["gap"]["rational"] == "1/2"
+
+    def test_lift_walks_no_quantile_steps(self, files, capsys, monkeypatch):
+        # the gap is the mean of the slack the lift builds: no SSD walk
+        walks = []
+        steps = divcert.risk.quantile_steps
+
+        def counted(a, b):
+            walks.append((a, b))
+            return steps(a, b)
+
+        monkeypatch.setattr(divcert.risk, "quantile_steps", counted)
+        for xi, eta in (("zero", "coin"), ("coin", "zero"), ("zero", "two")):
+            assert main(["lift", files[xi], files[eta]]) == 0
+            capsys.readouterr()
+        assert walks == []
 
     def test_decompose_equal_means_echoes_xi(self, files, capsys):
         assert main(["decompose", files["zero"], files["coin"]]) == 0
@@ -619,3 +651,15 @@ class TestDemo:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"MAX_GRID_POINTS = {demo.MAX_GRID_POINTS}" in err
+
+    @pytest.mark.parametrize("alpha", ["0", "3/2", "-1/20"])
+    def test_level_fails_before_any_stage(self, capsys, monkeypatch, alpha):
+        def no_stage(*args):
+            raise AssertionError("the level check must refuse the table before any stage")
+
+        monkeypatch.setattr(demo, "gamma_mean_quantile_dist", no_stage)
+        # the = form keeps a negative level from parsing as an option
+        assert main(["demo-lln", "--max-doublings", "0", "--grid", "131072",
+                     f"--alpha={alpha}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: level must lie in (0, 1], got {F(alpha)}\n"

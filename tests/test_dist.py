@@ -277,6 +277,14 @@ class TestJoint:
         with pytest.raises(ValueError):
             convex_combination(j, [1])
 
+    def test_refuses_no_atoms(self):
+        with pytest.raises(ValueError, match="a joint distribution needs at least one atom"):
+            JointDist(rows=(), vden=1, masses=(), pden=1)
+
+    def test_from_pairs_refuses_a_negative_probability(self):
+        with pytest.raises(ValueError, match="probabilities must be non-negative"):
+            JointDist.from_pairs([((0,), F(3, 2)), ((1,), F(-1, 2))])
+
     def test_refuses_atoms_of_no_coordinate(self):
         with pytest.raises(ValueError, match="joint distributions need at least one coordinate"):
             JointDist(rows=((),), vden=1, masses=(1,), pden=1)

@@ -269,6 +269,11 @@ class TestRefusalRules:
         with pytest.raises(ValueError, match="grid size must be positive"):
             PermutationCertificate(n=0, terms=(((), F(1)),))
 
+    def test_combine_refuses_values_of_the_wrong_length(self):
+        cert = PermutationCertificate(n=2, terms=(((0, 1), F(1)),))
+        with pytest.raises(ValueError, match="expected 2 values, got 3"):
+            cert.combine((F(0), F(1), F(2)))
+
     def test_coupling_refuses_a_zero_denominator(self):
         with pytest.raises(ValueError, match="the cell denominator must be positive"):
             MartingaleCoupling(n=1, cells=(((0,), (1,)),), den=0,

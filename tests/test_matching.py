@@ -38,8 +38,8 @@ class TestAgainstBruteForce:
             n = rng.randint(1, 6)
             adj = random_adjacency(rng, n, solvable=rng.random() < 0.7)
             expected = brute_lex_min(adj)
-            got = matching.lex_min_perfect_matching(adj)
-            assert got == expected
+            got = matching.LexMinMatching(adj).solve()
+            assert got == (None if expected is None else tuple(expected))
 
     def test_permutation_support(self):
         rng = random.Random(5)
@@ -48,15 +48,15 @@ class TestAgainstBruteForce:
             perm = list(range(n))
             rng.shuffle(perm)
             adj = [[perm[i]] for i in range(n)]
-            assert matching.lex_min_perfect_matching(adj) == perm
+            assert matching.LexMinMatching(adj).solve() == tuple(perm)
 
     def test_no_matching(self):
-        assert matching.lex_min_perfect_matching([[0], [0]]) is None
-        assert matching.lex_min_perfect_matching([[], [0]]) is None
+        assert matching.LexMinMatching([[0], [0]]).solve() is None
+        assert matching.LexMinMatching([[], [0]]).solve() is None
 
     def test_complete_graph_is_identity(self):
         adj = [list(range(5)) for _ in range(5)]
-        assert matching.lex_min_perfect_matching(adj) == [0, 1, 2, 3, 4]
+        assert matching.LexMinMatching(adj).solve() == (0, 1, 2, 3, 4)
 
 
 class TestRoundRepair:

@@ -9,6 +9,7 @@ import divcert.risk
 import helpers
 import oracles
 from divcert import (
+    ESCurve,
     SimpleDist,
     check_ssd,
     dirac,
@@ -103,6 +104,19 @@ class TestESCurve:
                 assert curve.tail_integral_at(alpha) == oracles.naive_tail_integral(d, alpha)
                 assert curve.es_at(alpha) == expected_shortfall(d, alpha)
 
+    @pytest.mark.parametrize("breakpoints, message", [
+        ((), "an ES curve needs at least one breakpoint"),
+        (((F(1, 2), F(0)), (F(1, 2), F(1)), (F(1), F(1))),
+         "breakpoint levels must increase within (0, 1]"),
+        (((F(0), F(0)), (F(1), F(1))), "breakpoint levels must increase within (0, 1]"),
+        (((F(1, 2), F(0)), (F(3, 2), F(1))), "breakpoint levels must increase within (0, 1]"),
+        (((F(1, 2), F(0)),), "the last breakpoint must sit at level 1"),
+    ], ids=["empty", "repeated_level", "level_zero", "level_above_one", "last_below_one"])
+    def test_refuses_each_breakpoint_rule(self, breakpoints, message):
+        with pytest.raises(ValueError) as refused:
+            ESCurve(breakpoints)
+        assert str(refused.value) == message
+
     def test_interpolation_is_exact(self):
         rng = random.Random(10)
         for _ in range(50):
@@ -187,6 +201,11 @@ class TestLlnStages:
             assert ssd_violation(fine, coarse) is None
             assert ssd_violation(coarse, fine) is not None
             assert fine.mean() != coarse.mean()
+
+    @pytest.mark.parametrize("n_terms, grid", [(0, 4), (1, 0), (-1, -1)])
+    def test_refuses_a_count_below_one(self, n_terms, grid):
+        with pytest.raises(ValueError, match="n_terms and grid must be positive"):
+            gamma_mean_quantile_dist(n_terms, grid)
 
     def test_quantiles_solve_the_erlang_cdf(self):
         # every midpoint u = (2k+1)/128 lies strictly between the CDF of the
