@@ -31,11 +31,9 @@ from .dist import (
     common_refinement,
     convex_combination,
     dirac,
-    expand_to_uniform_grid,
     from_samples,
     mixture,
     quantize_values,
-    simplex_weights,
 )
 from .dominance import (
     MartingaleCoupling,
@@ -55,7 +53,6 @@ from .risk import (
     expected_shortfall,
     ssd_gap,
     ssd_violation,
-    tail_integral,
 )
 from .transport import kantorovich, kantorovich_cdf
 
@@ -88,7 +85,6 @@ __all__ = [
     "decompose_ssd",
     "dirac",
     "es_curve",
-    "expand_to_uniform_grid",
     "expected_shortfall",
     "from_samples",
     "fsd_violation",
@@ -99,11 +95,9 @@ __all__ = [
     "mixture",
     "mps_coupling",
     "quantize_values",
-    "simplex_weights",
     "ssd_gap",
     "ssd_violation",
     "t_transform_chain",
-    "tail_integral",
     "verify_div1_certificate",
     "verify_div2_instance",
 ]

@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import re
 import sys
 from fractions import Fraction
 
@@ -243,6 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--out")
+        # argparse reads only -1 and -0.5 as negative numbers, so "--alpha
+        # -1/20" would lack its value; no option of ours starts with "-"
+        # and a digit, so such a token is a value
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

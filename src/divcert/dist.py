@@ -20,15 +20,15 @@ Fractions, scaled once; one validator checks the integers either way.
 Both sides of the diversification definition, the law of sum_i w_i X_i
 and the mixture of the marginals, are folds over that view and a weight
 vector (`JointDist._on_scale`): the weights are validated and scaled
-once, and no cell is read as a Fraction.  The folds run over runs of
-equal adjacent cells (`_runs`): each atom's vector is cut into its runs
-once per joint law, and the cut is kept (`JointDist.run_starts`), since
-it does not depend on the weights; the bundle writer reads the same cut
-and writes each run as one repeated string.  A run's weight is a
-difference of the weights' prefix sums, and both folds then cost per
-run, not per cell.  A zero weight needs no case of its own: it adds
-nothing to a run's weight, and a value that only runs of weight 0 reach
-gets mass 0 in the mixture, which drops it.
+once (`_simplex_scale`), and no cell is read as a Fraction.  The folds
+run over runs of equal adjacent cells (`_runs`): each atom's vector is
+cut into its runs once per joint law, and the cut is kept
+(`JointDist.run_starts`), since it does not depend on the weights; the
+bundle writer reads the same cut and writes each run as one repeated
+string.  A run's weight is a difference of the weights' prefix sums,
+and both folds then cost per run, not per cell.  A zero weight needs no
+case of its own: it adds nothing to a run's weight, and a value that
+only runs of weight 0 reach gets mass 0 in the mixture, which drops it.
 A certificate's joint law is almost constant along its terms: on the
 n = 64 pairs of the certify benchmark, a vector of about 180 cells holds
 about 8.3 runs.  A vector with no two neighbours equal is the worst
@@ -50,7 +50,8 @@ also its peak RSS by 10 %, the bound of that metric.
 Two walkers are the only code that steps through two distributions
 together: `quantile_steps` over the merged cumulative probabilities,
 `cdf_steps` over the merged atom values.  Risk, transport and dominance
-fold over them.
+fold over them; a law has no distribution-function or quantile method
+of its own.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import attrgetter, mul, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-#: Default slot cap of expand_to_uniform_grid and common_refinement, and so
-#: of `divcert check majorization` and lift_delta_gamma, whose work is linear
-#: in the slots: the lcm of the probability denominators is what blows up.
+#: Default slot cap of common_refinement, and so of `divcert check
+#: majorization` and lift_delta_gamma, whose work is linear in the slots:
+#: the lcm of the probability denominators is what blows up.
 #: The certificate constructions write n x n text and use the far lower
 #: certify.CERTIFY_SLOT_CAP.
 DEFAULT_GRID_CAP = 10**6
@@ -166,24 +167,19 @@ def _least_scale(rows: Sequence[Sequence[int]], den: int) -> tuple[Sequence[Sequ
     return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
-class _Weights(tuple):
-    """The Fractions of a validated weight vector, keeping the integer view
-    its check computed as `scale`: self[i] == nums[i] / den."""
-
-    scale: tuple[list[int], int]
-
-
-def simplex_weights(weights: Sequence, size: int | None = None) -> tuple[Fraction, ...]:
-    """Validate and convert a weight vector: entries >= 0, exact sum 1."""
-    ws = _Weights(map(as_rational, weights))
-    if size is not None and len(ws) != size:
+def _simplex_scale(weights: Sequence, size: int) -> tuple[list[int], int]:
+    """Validate a weight vector of `size` entries (each >= 0, exact sum 1)
+    and return its numerators over their least common denominator, and
+    that denominator."""
+    ws = list(map(as_rational, weights))
+    if len(ws) != size:
         raise ValueError(f"expected {size} weights, got {len(ws)}")
-    nums, den = ws.scale = common_scale(ws)
+    nums, den = common_scale(ws)
     if any(x < 0 for x in nums):
         raise ValueError("weights must be non-negative")
     if sum(nums) != den:
         raise ValueError("weights must sum to exactly 1")
-    return ws
+    return nums, den
 
 
 def _dist_on_scale(mass: dict[int, int], vden: int, pden: int) -> SimpleDist:
@@ -251,31 +247,6 @@ class SimpleDist:
 
     def mean(self) -> Fraction:
         return sum((v * p for v, p in self.atoms), Fraction(0))
-
-    def cdf(self, x) -> Fraction:
-        """P(value < x) - the left-continuous distribution function."""
-        x = as_rational(x)
-        return sum((p for v, p in self.atoms if v < x), Fraction(0))
-
-    def quantile(self, u) -> Fraction:
-        """Lower quantile inf{x : P(value < x or value = x) >= u}, u in (0, 1]."""
-        u = as_rational(u)
-        if not 0 < u <= 1:
-            raise ValueError(f"quantile level must lie in (0, 1], got {u}")
-        cum = Fraction(0)
-        for value, prob in self.atoms:
-            cum += prob
-            if cum >= u:
-                return value
-        raise AssertionError("unreachable: probabilities sum to 1")
-
-    def shift(self, c) -> "SimpleDist":
-        c = as_rational(c)
-        return SimpleDist(tuple((v + c, p) for v, p in self.atoms))
-
-    def scale(self, k) -> "SimpleDist":
-        k = as_rational(k)
-        return SimpleDist.from_pairs((v * k, p) for v, p in self.atoms)
 
 
 def quantile_steps(a: SimpleDist, b: SimpleDist) -> Iterator[tuple[Fraction, ...]]:
@@ -396,13 +367,6 @@ def _grid_size(probs: Sequence[Fraction], cap: int) -> int:
     return n
 
 
-def expand_to_uniform_grid(d: SimpleDist, cap: int = DEFAULT_GRID_CAP) -> UniformGrid:
-    """Smallest uniform-grid representation of `d` (n = lcm of probability
-    denominators).  Refuses grids above `cap` atoms; quantize the
-    probabilities first if that happens."""
-    return UniformGrid(d, _grid_size(d.probs, cap))
-
-
 def common_refinement(
     a: SimpleDist, b: SimpleDist, cap: int = DEFAULT_GRID_CAP
 ) -> tuple[UniformGrid, UniformGrid]:
@@ -416,7 +380,7 @@ def mixture(ds: Sequence[SimpleDist], weights: Sequence) -> SimpleDist:
 
     Zero-weight components drop out entirely.
     """
-    wnums, wden = simplex_weights(weights, len(ds)).scale
+    wnums, wden = _simplex_scale(weights, len(ds))
     atoms = [(atom, wn) for d, wn in zip(ds, wnums) if wn for atom in d.atoms]
     vnums, vden = common_scale([v for (v, _), _ in atoms])
     pnums, pden = common_scale([p for (_, p), _ in atoms])
@@ -435,8 +399,8 @@ class JointDist:
     held as one integer view: coordinate j of atom a is rows[a][j] / vden
     and the atom's probability masses[a] / pden, over the least such
     denominators, so equal laws are equal objects however they were built.
-    The constructor takes that view; `from_atoms` and `from_pairs` take
-    Fractions and scale them once.  `atoms` is the Fraction view.
+    The constructor takes that view; `from_atoms` takes canonical Fraction
+    atoms and scales them once.  `atoms` is the Fraction view.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -477,21 +441,6 @@ class JointDist:
         masses, pden = common_scale([p for _, p in atoms])
         return JointDist(rows, vden, tuple(masses), pden)
 
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple]) -> "JointDist":
-        """Build from (vector, prob) pairs: converts, merges equal vectors,
-        drops zero-probability atoms and sorts."""
-        merged: dict[tuple[Fraction, ...], Fraction] = {}
-        for vec, prob in pairs:
-            p = as_rational(prob)
-            if p < 0:
-                raise ValueError("probabilities must be non-negative")
-            if p == 0:
-                continue
-            v = tuple(map(as_rational, vec))
-            merged[v] = merged.get(v, Fraction(0)) + p
-        return JointDist.from_atoms(sorted(merged.items()))
-
     @cached_property
     def atoms(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
         vden, pden = self.vden, self.pden
@@ -513,15 +462,6 @@ class JointDist:
     def marginals(self) -> tuple[SimpleDist, ...]:
         return tuple(self.marginal(i) for i in range(self.m))
 
-    def mixture_of_marginals(self, weights: Sequence) -> SimpleDist:
-        """The law of X_K for an index K ~ weights drawn apart from X.
-
-        Equal to ``mixture(self.marginals(), weights)``, computed in one
-        pass over the atoms without building the m marginals:
-        P(x) = sum over atoms (vec, p) of p * sum_{i: vec_i = x} w_i.
-        """
-        return self._on_scale(weights).mixture()
-
     @cached_property
     def run_starts(self) -> tuple[list[int], ...]:
         """Where each run of equal adjacent cells starts, per atom vector:
@@ -532,7 +472,7 @@ class JointDist:
         """Validate `weights` and fold each atom's vector over its runs of
         equal adjacent cells (`_runs` on `run_starts`), on the one integer
         scale of the check; no cell is rescaled."""
-        wnums, wden = simplex_weights(weights, self.m).scale
+        wnums, wden = _simplex_scale(weights, self.m)
         cum = list(accumulate(wnums, initial=0))
         runs = list(map(_runs, self.rows, repeat(cum), self.run_starts))
         return _ScaledJoint(runs, self.vden, wden, self.masses, self.pden)

@@ -14,21 +14,22 @@ valid; `certify` builds them, and this module imports nothing from
 witnesses against their defining identities, again exactly: a
 certificate that passes here is a proof.  The validators and verifiers
 follow one idiom: each vector of Fractions (certificate weights, the
-slot-wise `PermutationCertificate.combine`) is brought to one common
+slot values a certificate combines) is brought to one common
 denominator, sums and comparisons run on the integer numerators, and
 Fractions are made only for a result or an error message.  A
 certificate keeps its weights' integer view from its validator, as
-prefix sums, for `combine`, and a joint law and a coupling hold that
-integer view as their state (see `divcert.dist`), so their checks, the
-convex combination of a joint law and the mixture of its marginals read
-integers only.
+prefix sums, for the div-1 verifier's slot-wise combination
+(`PermutationCertificate._combine_on_scale`), and a joint law and a
+coupling hold that integer view as their state (see `divcert.dist`), so
+their checks, the convex combination of a joint law and the mixture of
+its marginals read integers only.
 
 Both verifiers fold over runs of equal adjacent cells, so they cost per
-run, not per cell: `combine` sums each slot over the runs of equal
-sources in its column (perm_k[i])_k, and `verify_div2_instance` folds
-both laws over the runs each joint vector is cut into once, a cut the
-joint keeps (`JointDist.run_starts`).  Each term
-of a Birkhoff peel moves the slots of few blocks of D, so a column
+run, not per cell: `verify_div1_certificate` sums each slot over the
+runs of equal sources in its column (perm_k[i])_k, and
+`verify_div2_instance` folds both laws over the runs each joint vector
+is cut into once, a cut the joint keeps (`JointDist.run_starts`).  Each
+term of a Birkhoff peel moves the slots of few blocks of D, so a column
 holds few runs: on the n = 64 pairs of the certify benchmark, about 8.7
 of about 180 cells.
 """
@@ -119,12 +120,6 @@ class TTransform:
         if not 0 < self.s <= 1:
             raise ValueError("mixing share must lie in (0, 1]")
 
-    def apply(self, vec: list[Fraction]) -> None:
-        """Replace entries i and j by their s-mix, in place."""
-        vi, vj = vec[self.i], vec[self.j]
-        vec[self.i] = vi + self.s * (vj - vi)
-        vec[self.j] = vj + self.s * (vi - vj)
-
 
 @dataclass(frozen=True)
 class PermutationCertificate:
@@ -134,7 +129,7 @@ class PermutationCertificate:
     index in the dominated grid (0-based).  Weights are positive and sum
     to exactly 1, and the term count never exceeds (n-1)^2 + 1.  The
     validator keeps the weights' integer view, the prefix sums of their
-    numerators over one common denominator, for `combine`.
+    numerators over one common denominator, for `_combine_on_scale`.
     """
 
     n: int
@@ -169,18 +164,12 @@ class PermutationCertificate:
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(w for _, w in self.terms)
 
-    def combine(self, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        """Slot-wise weighted combination sum_k w_k * values[perm_k[i]]."""
-        acc, scale = self._combine_on_scale(*common_scale(values))
-        return tuple(Fraction(a, scale) for a in acc)
-
     def _combine_on_scale(self, vnums: Sequence[int], vden: int) -> tuple[list[int], int]:
-        """`combine` of the values vnums[i] / vden, as numerators over one
+        """The slot-wise weighted combination sum_k w_k * v[perm_k[i]] of
+        the n values v[i] = vnums[i] / vden, as numerators over one
         denominator.  Slot i folds over the runs of equal adjacent sources
         in its column (perm_k[i])_k, each run weighted by a difference of
         the weights' prefix sums."""
-        if len(vnums) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(vnums)}")
         cum, wden = self._weight_scale
         acc = []
         for column in zip(*(perm for perm, _ in self.terms)):

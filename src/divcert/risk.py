@@ -25,11 +25,6 @@ def _check_level(alpha) -> Fraction:
     return alpha
 
 
-def tail_integral(d: SimpleDist, alpha) -> Fraction:
-    """Integral of the lower quantile function over (0, alpha], exact."""
-    return es_curve(d).tail_integral_at(alpha)
-
-
 def expected_shortfall(d: SimpleDist, alpha) -> Fraction:
     """Average loss over the worst alpha-fraction of outcomes:
     -(1/alpha) * integral of the quantile function over (0, alpha]."""

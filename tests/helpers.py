@@ -11,7 +11,34 @@ import math
 import random
 from fractions import Fraction
 
-from divcert import JointDist, SimpleDist, UniformGrid
+from divcert import JointDist, SimpleDist, UniformGrid, as_rational
+
+
+def shift(d: SimpleDist, c) -> SimpleDist:
+    """The law of d + c."""
+    c = as_rational(c)
+    return SimpleDist(tuple((v + c, p) for v, p in d.atoms))
+
+
+def scale(d: SimpleDist, k) -> SimpleDist:
+    """The law of k * d."""
+    k = as_rational(k)
+    return SimpleDist.from_pairs((v * k, p) for v, p in d.atoms)
+
+
+def joint_from_pairs(pairs) -> JointDist:
+    """Build a joint law from (vector, prob) pairs: converts, merges equal
+    vectors, drops zero-probability atoms and sorts."""
+    merged: dict[tuple[Fraction, ...], Fraction] = {}
+    for vec, prob in pairs:
+        p = as_rational(prob)
+        if p < 0:
+            raise ValueError("probabilities must be non-negative")
+        if p == 0:
+            continue
+        v = tuple(map(as_rational, vec))
+        merged[v] = merged.get(v, Fraction(0)) + p
+    return JointDist.from_atoms(sorted(merged.items()))
 
 
 def rand_fraction(rng: random.Random, span: int = 24, max_den: int = 8) -> Fraction:
@@ -114,7 +141,7 @@ def equal_mean_pair(rng: random.Random, **kwargs) -> tuple[SimpleDist, SimpleDis
         return mps_pair(rng, **kwargs)
     a = rand_dist(rng, max_den=4)
     b = rand_dist(rng, max_den=4)
-    return a, b.shift(a.mean() - b.mean())
+    return a, shift(b, a.mean() - b.mean())
 
 
 def ssd_unequal_mean_pair(rng: random.Random) -> tuple[SimpleDist, SimpleDist]:
@@ -122,7 +149,7 @@ def ssd_unequal_mean_pair(rng: random.Random) -> tuple[SimpleDist, SimpleDist]:
     pair with xi shifted up."""
     xi, eta = mps_pair(rng, base_atoms=6, max_doublings=2)
     lift = Fraction(rng.randint(1, 16), 4)
-    return xi.shift(lift), eta
+    return shift(xi, lift), eta
 
 
 def rand_joint(
@@ -135,7 +162,7 @@ def rand_joint(
     }
     weights = [rng.randint(1, 5) for _ in vectors]
     total = sum(weights)
-    return JointDist.from_pairs(
+    return joint_from_pairs(
         (vec, Fraction(w, total)) for vec, w in zip(vectors, weights)
     )
 

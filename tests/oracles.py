@@ -5,7 +5,11 @@ route than the implementation under test: tail averages by slot
 enumeration, dominance by integrated CDFs or by the truncated-utility
 family, transport by slot coupling on a common refinement, and
 diversification feasibility by an exact phase-1 simplex over all n!
-permutation columns.
+permutation columns.  The pointwise distribution function and lower
+quantile of a law (cdf, quantile) are what the two walkers must agree
+with, and a transfer applied to a vector of slot values
+(apply_transform) is what a transfer chain must reproduce its target
+with.
 
 The naive_* references are the Fraction loops the library used before its
 sums moved to one common integer scale: one Fraction addition per term,
@@ -52,7 +56,6 @@ from divcert import (
     TTransform,
     UniformGrid,
     common_refinement,
-    expand_to_uniform_grid,
     as_rational,
     ssd_violation,
 )
@@ -62,10 +65,37 @@ from divcert.matching import LexMinMatching
 from divcert.serialize import rational_str
 
 
+def cdf(d: SimpleDist, x) -> Fraction:
+    """P(value < x) - the left-continuous distribution function."""
+    x = as_rational(x)
+    return sum((p for v, p in d.atoms if v < x), Fraction(0))
+
+
+def quantile(d: SimpleDist, u) -> Fraction:
+    """Lower quantile inf{x : P(value < x or value = x) >= u}, u in (0, 1]."""
+    u = as_rational(u)
+    if not 0 < u <= 1:
+        raise ValueError(f"quantile level must lie in (0, 1], got {u}")
+    cum = Fraction(0)
+    for value, prob in d.atoms:
+        cum += prob
+        if cum >= u:
+            return value
+    raise AssertionError("unreachable: probabilities sum to 1")
+
+
+def apply_transform(tr: TTransform, vec: list[Fraction]) -> None:
+    """Replace entries i and j of `vec` by their s-mix, in place: the
+    doubly stochastic matrix (1-s)*I + s*Q_ij that `tr` stands for."""
+    vi, vj = vec[tr.i], vec[tr.j]
+    vec[tr.i] = vi + tr.s * (vj - vi)
+    vec[tr.j] = vj + tr.s * (vi - vj)
+
+
 def es_by_sorted_tail(d: SimpleDist, alpha: Fraction) -> Fraction:
     """Average loss in the worst alpha-fraction of outcomes, by literally
     enumerating equally likely slots fine enough that alpha*m is integral."""
-    grid = expand_to_uniform_grid(d)
+    grid = common_refinement(d, d)[0]
     m = math.lcm(grid.n, alpha.denominator)
     copies = m // grid.n
     slots = [v for v in grid.values for _ in range(copies)]

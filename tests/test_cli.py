@@ -142,6 +142,13 @@ class TestEs:
     def test_zero_alpha_is_usage_error(self, files, capsys):
         assert main(["es", files["coin"], "--alpha", "0"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["-1/20", "-1e-3"])
+    def test_negative_level_is_the_level_error(self, files, capsys, alpha):
+        for level in ([f"--alpha={alpha}"], ["--alpha", alpha]):
+            assert main(["es", files["coin"], *level]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: level must lie in (0, 1], got {F(alpha)}\n"
+
 
 class TestCertify:
     def test_success_writes_verified_bundle(self, files, capsys):
@@ -275,7 +282,7 @@ def refusal_pairs() -> dict:
             SimpleDist.from_pairs([(0, F(1, 1031)), (1, F(1029, 1031)), (2, F(1, 1031))]),
             dirac(1)),
         ("slot cap", "holds"): (fine, fine),
-        ("denominator bound", "means differ"): (zeta, eta.shift(-1)),
+        ("denominator bound", "means differ"): (zeta, helpers.shift(eta, -1)),
         ("denominator bound", "ssd violated"): (eta, zeta),
         ("denominator bound", "holds"): (zeta, eta),
     }
@@ -658,8 +665,7 @@ class TestDemo:
             raise AssertionError("the level check must refuse the table before any stage")
 
         monkeypatch.setattr(demo, "gamma_mean_quantile_dist", no_stage)
-        # the = form keeps a negative level from parsing as an option
-        assert main(["demo-lln", "--max-doublings", "0", "--grid", "131072",
-                     f"--alpha={alpha}"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: level must lie in (0, 1], got {F(alpha)}\n"
+        for level in ([f"--alpha={alpha}"], ["--alpha", alpha]):
+            assert main(["demo-lln", "--max-doublings", "0", "--grid", "131072", *level]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: level must lie in (0, 1], got {F(alpha)}\n"

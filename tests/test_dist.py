@@ -20,12 +20,10 @@ from divcert import (
     common_refinement,
     convex_combination,
     dirac,
-    expand_to_uniform_grid,
     from_samples,
     kantorovich,
     mixture,
     quantize_values,
-    simplex_weights,
 )
 
 
@@ -143,44 +141,39 @@ class TestSimpleDist:
         assert dirac(F(7, 3)).mean() == F(7, 3)
         assert SimpleDist.from_pairs([(1, F(1, 3)), (4, F(2, 3))]).mean() == 3
 
+    # the walker tests compare against these two references
     def test_cdf_is_strict(self):
         d = dirac(0)
-        assert d.cdf(0) == 0  # P(value < 0), the atom itself excluded
-        assert d.cdf(1) == 1
+        assert oracles.cdf(d, 0) == 0  # P(value < 0), the atom itself excluded
+        assert oracles.cdf(d, 1) == 1
         two = SimpleDist.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
-        assert two.cdf(0) == F(1, 2)
+        assert oracles.cdf(two, 0) == F(1, 2)
 
     def test_quantile(self):
-        assert dirac(5).quantile(F(1, 7)) == 5
-        assert dirac(5).quantile(1) == 5
+        assert oracles.quantile(dirac(5), F(1, 7)) == 5
+        assert oracles.quantile(dirac(5), 1) == 5
         grid = UniformGrid.from_values([1, 2, 3]).dist
-        assert grid.quantile(F(1, 3)) == 1
-        assert grid.quantile(F(1, 3) + F(1, 100)) == 2
-        assert grid.quantile(1) == 3
-
-    def test_quantile_domain(self):
-        with pytest.raises(ValueError):
-            dirac(0).quantile(0)
-        with pytest.raises(ValueError):
-            dirac(0).quantile(F(3, 2))
+        assert oracles.quantile(grid, F(1, 3)) == 1
+        assert oracles.quantile(grid, F(1, 3) + F(1, 100)) == 2
+        assert oracles.quantile(grid, 1) == 3
 
 
 class TestGrids:
     def test_expand(self):
+        # one law on its own smallest grid
         d = SimpleDist.from_pairs([(0, F(1, 2)), (3, F(1, 4)), (5, F(1, 4))])
-        g = expand_to_uniform_grid(d)
+        g = common_refinement(d, d)[0]
         assert g.n == 4 and g.values == (F(0), F(0), F(3), F(5))
-        assert expand_to_uniform_grid(dirac(1)).values == (F(1),)
-        assert expand_to_uniform_grid(
-            SimpleDist.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
-        ).values == (F(-1), F(1))
+        assert common_refinement(dirac(1), dirac(1))[0].values == (F(1),)
+        coin = SimpleDist.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
+        assert common_refinement(coin, coin)[0].values == (F(-1), F(1))
 
     def test_expand_cap(self):
         p = 1000003  # prime above the default cap
         d = SimpleDist.from_pairs([(0, F(1, p)), (1, F(p - 1, p))])
         with pytest.raises(GridCapError):
-            expand_to_uniform_grid(d)
-        g = expand_to_uniform_grid(d, cap=p)
+            common_refinement(d, d)
+        g = common_refinement(d, d, cap=p)[0]
         assert g.n == p
 
     def test_round_trip_preserves_multiset(self):
@@ -241,49 +234,39 @@ class TestMixture:
             mixture([dirac(0)], [F(1, 2), F(1, 2)])
         with pytest.raises(ValueError):
             mixture([dirac(0), dirac(1)], [F(3, 4), F(1, 2)])
-        with pytest.raises(ValueError):
-            simplex_weights([F(-1, 2), F(3, 2)])
+        with pytest.raises(ValueError, match="^weights must be non-negative$"):
+            mixture([dirac(0), dirac(1)], [F(-1, 2), F(3, 2)])
 
 
 class TestJoint:
     def test_convex_combination(self):
-        j = JointDist.from_pairs([((2, 5, 9), 1)])
+        j = helpers.joint_from_pairs([((2, 5, 9), 1)])
         w = [F(1, 2), F(1, 4), F(1, 4)]
         assert convex_combination(j, w) == dirac(F(9, 2))
-        j = JointDist.from_pairs([((1, 3), F(1, 2)), ((3, 1), F(1, 2))])
+        j = helpers.joint_from_pairs([((1, 3), F(1, 2)), ((3, 1), F(1, 2))])
         assert convex_combination(j, [F(1, 2), F(1, 2)]) == dirac(2)
-        j = JointDist.from_pairs([((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
+        j = helpers.joint_from_pairs([((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
         assert convex_combination(j, [F(1, 2), F(1, 2)]) == SimpleDist.from_pairs(
             [(0, F(1, 2)), (1, F(1, 2))]
         )
 
     def test_marginals(self):
-        j = JointDist.from_pairs([((1, 3), F(1, 2)), ((3, 1), F(1, 2))])
-        # duplicates out of order merge; a zero probability skips its vector
-        # before it is converted
-        assert JointDist.from_pairs([
-            ((3, 1), F(1, 4)), (("1", "3"), F(1, 2)), ((1, 3), 0),
-            (("x", None), 0), ((3, 1), F(1, 4)),
-        ]) == j
+        j = helpers.joint_from_pairs([((1, 3), F(1, 2)), ((3, 1), F(1, 2))])
         expected = SimpleDist.from_pairs([(1, F(1, 2)), (3, F(1, 2))])
         assert j.marginal(0) == expected
         assert j.marginal(1) == expected
-        assert JointDist.from_pairs([((4, 2), 1)]).marginal(1) == dirac(2)
+        assert helpers.joint_from_pairs([((4, 2), 1)]).marginal(1) == dirac(2)
         with pytest.raises(IndexError):
             j.marginal(2)
 
     def test_dimension_mismatch(self):
-        j = JointDist.from_pairs([((1, 3), F(1, 2)), ((3, 1), F(1, 2))])
+        j = helpers.joint_from_pairs([((1, 3), F(1, 2)), ((3, 1), F(1, 2))])
         with pytest.raises(ValueError):
             convex_combination(j, [1])
 
     def test_refuses_no_atoms(self):
         with pytest.raises(ValueError, match="a joint distribution needs at least one atom"):
             JointDist(rows=(), vden=1, masses=(), pden=1)
-
-    def test_from_pairs_refuses_a_negative_probability(self):
-        with pytest.raises(ValueError, match="probabilities must be non-negative"):
-            JointDist.from_pairs([((0,), F(3, 2)), ((1,), F(-1, 2))])
 
     def test_refuses_atoms_of_no_coordinate(self):
         with pytest.raises(ValueError, match="joint distributions need at least one coordinate"):
@@ -342,11 +325,10 @@ class TestProperties:
     def test_canonical_invariants(self, d):
         assert sum(d.probs) == 1
         assert all(a < b for a, b in zip(d.values, d.values[1:]))
-        assert d.scale(0) == dirac(0)
 
     @given(dists())
     def test_expand_preserves_mean_and_distance(self, d):
-        g = expand_to_uniform_grid(d)
+        g = common_refinement(d, d)[0]
         assert sum(g.values) / g.n == d.mean()
         slots = UniformGrid.from_values(g.values)
         assert slots == g

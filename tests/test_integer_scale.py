@@ -58,12 +58,11 @@ from divcert import (
     lift_delta_gamma,
     majorization_violation,
     mixture,
-    simplex_weights,
     t_transform_chain,
     verify_div1_certificate,
     verify_div2_instance,
 )
-from divcert.dist import _run_starts, _runs, _slot_scale, common_scale
+from divcert.dist import _run_starts, _runs, _simplex_scale, _slot_scale, common_scale
 from divcert.serialize import _joint, dumps, joint_from_obj
 
 #: value denominators are 2^a 3^b; weight denominators come from the drawn
@@ -134,9 +133,9 @@ def joint_atoms(draw, max_m=4, max_atoms=6):
 
 @st.composite
 def joints(draw, max_m=4, max_atoms=6):
-    """Joint laws built either way in: from Fractions, as the parser and
-    from_pairs build them, or from integers over a denominator a drawn
-    factor above the least, as certify builds them."""
+    """Joint laws built either way in: from Fractions, as the parser
+    builds them, or from integers over a denominator a drawn factor above
+    the least, as certify builds them."""
     atoms = draw(joint_atoms(max_m, max_atoms))
     if draw(st.booleans()):
         return JointDist.from_atoms(atoms)
@@ -258,7 +257,8 @@ def slack_pairs(draw):
     w = draw(st.builds(F, st.integers(1, 4), st.just(4)))
     xi = mixture([dirac(eta.mean()), eta], [w, 1 - w])  # less spread, same mean
     if kind == "top_only":
-        xi = xi.shift(draw(st.builds(F, st.integers(1, 12), st.sampled_from(VALUE_DENS))))
+        lift = draw(st.builds(F, st.integers(1, 12), st.sampled_from(VALUE_DENS)))
+        xi = helpers.shift(xi, lift)
     return xi, eta
 
 
@@ -359,13 +359,14 @@ class Draws:
 #: on a cell between two equal cells of another value, at both ends, and
 #: on every coordinate but one
 ZERO_WEIGHT_CASES = [
-    (JointDist.from_pairs([((1, 1, 1), F(1, 2)), ((2, 1, 3), F(1, 2))]), (F(1, 4), 0, F(3, 4))),
-    (JointDist.from_pairs([((1, 5, 1), F(1, 3)), ((0, 5, 2), F(2, 3))]), (F(1, 2), 0, F(1, 2))),
+    (helpers.joint_from_pairs([((1, 1, 1), F(1, 2)), ((2, 1, 3), F(1, 2))]), (F(1, 4), 0, F(3, 4))),
+    (helpers.joint_from_pairs([((1, 5, 1), F(1, 3)), ((0, 5, 2), F(2, 3))]), (F(1, 2), 0, F(1, 2))),
     (
-        JointDist.from_pairs([((7, 1, 2, 7), F(1, 2)), ((-1, 2, 2, F(3, 2)), F(1, 2))]),
+        helpers.joint_from_pairs([((7, 1, 2, 7), F(1, 2)), ((-1, 2, 2, F(3, 2)), F(1, 2))]),
         (0, F(1, 3), F(2, 3), 0),
     ),
-    (JointDist.from_pairs([((4, 4, F(1, 2), 4), F(1, 4)), ((0, 1, 2, 3), F(3, 4))]), (0, 0, 1, 0)),
+    (helpers.joint_from_pairs([((4, 4, F(1, 2), 4), F(1, 4)), ((0, 1, 2, 3), F(3, 4))]),
+     (0, 0, 1, 0)),
 ]
 
 
@@ -390,15 +391,16 @@ def chain_outcome(fn, a, b):
 
 
 class TestSums:
-    @given(st.lists(values, min_size=0, max_size=5), st.booleans())
-    def test_simplex_weights(self, raw, normalize):
+    @given(st.lists(values, min_size=0, max_size=5), st.booleans(), st.integers(-1, 1))
+    def test_simplex_weights(self, raw, normalize, extra):
         ws = raw
         if normalize and raw and sum(raw) != 0:
             ws = [w / sum(raw) for w in raw]
-        expected = failure(lambda: oracles.naive_simplex_weights(ws))
-        assert failure(lambda: simplex_weights(ws)) == expected
+        size = len(ws) + extra
+        expected = failure(lambda: oracles.naive_simplex_weights(ws, size))
+        assert failure(lambda: _simplex_scale(ws, size)) == expected
         if expected is None:
-            assert simplex_weights(ws) == oracles.naive_simplex_weights(ws)
+            assert _simplex_scale(ws, size) == common_scale(oracles.naive_simplex_weights(ws))
 
     @given(st.lists(dists(), min_size=1, max_size=4), st.data())
     def test_mixture(self, ds, data):
@@ -417,13 +419,14 @@ class TestSums:
     @settings(max_examples=200, deadline=None)
     def test_mixture_of_marginals(self, j, data):
         ws = data.draw(simplex(j.m))
-        assert j.mixture_of_marginals(ws) == oracles.naive_mixture_of_marginals(j, ws)
+        assert j._on_scale(ws).mixture() == oracles.naive_mixture_of_marginals(j, ws)
 
     @given(st.one_of(certificates(), run_certificates()), st.data())
     @settings(max_examples=200, deadline=None)
     def test_combine(self, cert, data):
         vs = tuple(data.draw(st.lists(values, min_size=cert.n, max_size=cert.n)))
-        assert cert.combine(vs) == oracles.naive_combine(cert.terms, vs)
+        acc, scale = cert._combine_on_scale(*common_scale(vs))
+        assert tuple(F(a, scale) for a in acc) == oracles.naive_combine(cert.terms, vs)
 
     @given(certificate_terms())
     def test_certificate_weights(self, args):
@@ -499,14 +502,14 @@ class TestIntegerView:
 
         def spy(*args, **kwargs):
             calls.append(args)
-            return simplex_weights(*args, **kwargs)
+            return _simplex_scale(*args, **kwargs)
 
-        j = JointDist.from_pairs([((1, F(1, 3)), F(1, 2)), ((3, F(-5, 3)), F(1, 2))])
+        j = helpers.joint_from_pairs([((1, F(1, 3)), F(1, 2)), ((3, F(-5, 3)), F(1, 2))])
         ws = (F(1, 4), F(3, 4))
         law = oracles.naive_convex_combination(j, ws)
         mix = oracles.naive_mixture_of_marginals(j, ws)
         for module in (divcert.dist, divcert.dominance):
-            monkeypatch.setattr(module, "simplex_weights", spy, raising=False)
+            monkeypatch.setattr(module, "_simplex_scale", spy, raising=False)
         assert verify_div2_instance(law, mix, j, ws)
         assert len(calls) == 1
 
@@ -602,37 +605,37 @@ class TestEdges:
         d = SimpleDist.from_pairs([(F(1, 97), F(1, 2)), (5, F(1, 2))])
         assert mixture([dirac(1), d], [1, 0]) == dirac(1)
         # coordinate 1 is touched by a zero weight only: its values vanish
-        j = JointDist.from_pairs([((1, F(1, 97)), F(1, 2)), ((3, F(-5, 7)), F(1, 2))])
+        j = helpers.joint_from_pairs([((1, F(1, 97)), F(1, 2)), ((3, F(-5, 7)), F(1, 2))])
         marginal = SimpleDist.from_pairs([(1, F(1, 2)), (3, F(1, 2))])
-        assert j.mixture_of_marginals([1, 0]) == marginal
+        assert j._on_scale([1, 0]).mixture() == marginal
         assert convex_combination(j, [1, 0]) == marginal
 
     def test_negative_values_and_repeats_merge(self):
-        j = JointDist.from_pairs([((-2, 2), F(1, 3)), ((2, -2), F(1, 3)), ((-2, -2), F(1, 3))])
+        j = helpers.joint_from_pairs([((-2, 2), F(1, 3)), ((2, -2), F(1, 3)), ((-2, -2), F(1, 3))])
         half = [F(1, 2), F(1, 2)]
         assert convex_combination(j, half) == SimpleDist.from_pairs(
             [(-2, F(1, 3)), (0, F(2, 3))]
         )
-        assert j.mixture_of_marginals(half) == SimpleDist.from_pairs(
+        assert j._on_scale(half).mixture() == SimpleDist.from_pairs(
             [(-2, F(2, 3)), (2, F(1, 3))]
         )
 
     def test_coprime_denominators(self):
         ws = (F(1, 7), F(2, 7), F(4, 7))
-        j = JointDist.from_pairs(
+        j = helpers.joint_from_pairs(
             [((F(1, 2), F(-3, 4), F(5, 8)), F(1, 3)), ((F(1, 3), F(1, 6), F(-1, 9)), F(2, 3))]
         )
         assert convex_combination(j, ws) == oracles.naive_convex_combination(j, ws)
-        assert j.mixture_of_marginals(ws) == oracles.naive_mixture_of_marginals(j, ws)
+        assert j._on_scale(ws).mixture() == oracles.naive_mixture_of_marginals(j, ws)
         ds = [dirac(F(1, 2)), dirac(F(1, 3)), SimpleDist.from_pairs([(F(1, 4), F(1, 5)), (1, F(4, 5))])]
         assert mixture(ds, ws) == oracles.naive_mixture(ds, ws)
 
     def test_one_coordinate_and_one_slot(self):
-        j = JointDist.from_pairs([((F(-1, 2),), F(1, 4)), ((F(3, 2),), F(3, 4))])
-        assert j.mixture_of_marginals([1]) == j.marginal(0)
+        j = helpers.joint_from_pairs([((F(-1, 2),), F(1, 4)), ((F(3, 2),), F(3, 4))])
+        assert j._on_scale([1]).mixture() == j.marginal(0)
         assert convex_combination(j, [1]) == j.marginal(0)
         cert = PermutationCertificate(n=1, terms=(((0,), F(1)),))
-        assert cert.combine((F(-7, 3),)) == (F(-7, 3),)
+        assert cert._combine_on_scale([-7], 3) == ([-7], 3)
         assert MartingaleCoupling.from_matrix(1, ((F(1),),), (F(2, 5),), (F(2, 5),))
 
     def test_empty_coupling_is_rejected(self):
