@@ -5,6 +5,12 @@ output carries both the exact rational and a 12-significant-digit
 decimal.  Exit codes follow one contract everywhere: 0 when the queried
 relation holds or the operation succeeds, 1 when a relation or
 precondition fails (the report says why), 2 on input or usage errors.
+
+Each `cmd_*` function returns its whole text and its exit code, and
+writes nothing; `main` alone writes that text, to the `--out` file or to
+stdout.  So nothing is written before a command returns: one that
+raises (on an input error, an exact result too long to print, a failed
+self-check) leaves stdout empty and no `--out` file.
 """
 
 from __future__ import annotations
@@ -41,18 +47,11 @@ from .transport import kantorovich, kantorovich_cdf
 OK, FAIL, ERROR = 0, 1, 2
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        serialize.save_text(out, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _scalar_line(x: Fraction) -> str:
     return f"{rational_str(x)} ({decimal_str(x)})\n"
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[str, int]:
     a = load_dist(args.input_a)
     b = load_dist(args.input_b)
     report = {
@@ -73,106 +72,87 @@ def cmd_check(args) -> int:
     report["holds"] = witness is None
     if witness is not None:
         report["witness"] = {key: rational_obj(witness) if isinstance(witness, Fraction) else witness}
-    _emit(dumps(report), args.out)
-    return OK if report["holds"] else FAIL
+    return dumps(report), OK if report["holds"] else FAIL
 
 
-def cmd_es(args) -> int:
+def cmd_es(args) -> tuple[str, int]:
     d = load_dist(args.input)
-    value = expected_shortfall(d, as_rational(args.alpha))
-    _emit(_scalar_line(value), args.out)
-    return OK
+    return _scalar_line(expected_shortfall(d, as_rational(args.alpha))), OK
 
 
-def cmd_kantorovich(args) -> int:
+def cmd_kantorovich(args) -> tuple[str, int]:
     a = load_dist(args.input_a)
     b = load_dist(args.input_b)
     quantile_form = kantorovich(a, b)
     cdf_form = kantorovich_cdf(a, b)
     if quantile_form != cdf_form:
         raise AssertionError("the two transport representations disagree")
-    _emit(_scalar_line(quantile_form), args.out)
-    return OK
+    return _scalar_line(quantile_form), OK
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[str, int]:
     xi = load_dist(args.input_xi)
     eta = load_dist(args.input_eta)
     try:
         cert, joint, coupling = certify_bundle(xi, eta)
     except MeansDifferError as exc:
-        _emit(dumps({"certified": False, "reason": "means differ",
-                     "mean_xi": rational_obj(exc.mean_xi),
-                     "mean_eta": rational_obj(exc.mean_eta)}), args.out)
-        return FAIL
+        return dumps({"certified": False, "reason": "means differ",
+                      "mean_xi": rational_obj(exc.mean_xi),
+                      "mean_eta": rational_obj(exc.mean_eta)}), FAIL
     except SsdViolatedError as exc:
-        _emit(dumps({"certified": False,
-                     "reason": f"ssd violated at alpha={rational_str(exc.alpha)}",
-                     "alpha": rational_obj(exc.alpha)}), args.out)
-        return FAIL
+        return dumps({"certified": False,
+                      "reason": f"ssd violated at alpha={rational_str(exc.alpha)}",
+                      "alpha": rational_obj(exc.alpha)}), FAIL
     if not verify_div1_certificate(xi, eta, cert):
         raise AssertionError("constructed certificate failed self-verification")
     if not verify_div2_instance(xi, eta, joint, cert.weights):
         raise AssertionError("witnessing joint law failed self-verification")
-    _emit(serialize.bundle_text(cert, joint, coupling), args.out)
-    return OK
+    return serialize.bundle_text(cert, joint, coupling), OK
 
 
-def cmd_mps(args) -> int:
+def cmd_mps(args) -> tuple[str, int]:
     xi = load_dist(args.input_xi)
     eta = load_dist(args.input_eta)
     try:
         coupling = mps_coupling(xi, eta)
     except CertificationError as exc:
-        _emit(dumps({"certified": False, "reason": str(exc)}), args.out)
-        return FAIL
-    _emit(serialize.coupling_text(coupling), args.out)
-    return OK
+        return dumps({"certified": False, "reason": str(exc)}), FAIL
+    return serialize.coupling_text(coupling), OK
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> tuple[str, int]:
     xi = load_dist(args.input_xi)
     eta = load_dist(args.input_eta)
-    result = lift_delta_gamma(xi, eta)
-    payload = serialize.lift_to_obj(result)
-    payload["gap"] = rational_obj(result.gap)
-    _emit(dumps(payload), args.out)
-    return OK
+    return dumps(serialize.lift_to_obj(lift_delta_gamma(xi, eta))), OK
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[str, int]:
     xi = load_dist(args.input_xi)
     eta = load_dist(args.input_eta)
     try:
         result = decompose_ssd(xi, eta)
     except SsdViolatedError as exc:
-        _emit(dumps({"decomposed": False,
-                     "reason": f"ssd violated at alpha={rational_str(exc.alpha)}"}),
-              args.out)
-        return FAIL
-    payload = {
+        return dumps({"decomposed": False,
+                      "reason": f"ssd violated at alpha={rational_str(exc.alpha)}"}), FAIL
+    return dumps({
         "decomposed": True,
         "c": None if result.c is None else rational_obj(result.c),
         "zeta": serialize.dist_to_obj(result.zeta),
-    }
-    _emit(dumps(payload), args.out)
-    return OK
+    }), OK
 
 
-def cmd_mix(args) -> int:
+def cmd_mix(args) -> tuple[str, int]:
     ds = [load_dist(path) for path in args.inputs]
     weights = [as_rational(w) for w in args.weights.split(",")]
-    _emit(dumps(serialize.dist_to_obj(mixture(ds, weights))), args.out)
-    return OK
+    return dumps(serialize.dist_to_obj(mixture(ds, weights))), OK
 
 
-def cmd_quantize(args) -> int:
+def cmd_quantize(args) -> tuple[str, int]:
     d = load_dist(args.input)
-    _emit(dumps(serialize.dist_to_obj(quantize_values(d, args.denominator))), args.out)
-    return OK
+    return dumps(serialize.dist_to_obj(quantize_values(d, args.denominator))), OK
 
 
-def cmd_demo_lln(args) -> int:
+def cmd_demo_lln(args) -> tuple[str, int]:
     rows = demo.lln_table(args.max_doublings, as_rational(args.alpha), args.grid)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -180,8 +160,7 @@ def cmd_demo_lln(args) -> int:
     for n, es, kappa in rows:
         writer.writerow([n, rational_str(es), decimal_str(es),
                          rational_str(kappa), decimal_str(kappa)])
-    _emit(buf.getvalue(), args.out)
-    return OK
+    return buf.getvalue(), OK
 
 
 @functools.cache
@@ -252,17 +231,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one `divcert` command and return its exit code.
+    """Run one `divcert` command, write its text and return its exit code.
 
     May be called many times in one process; a usage error raises
     SystemExit(2), as argparse does.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if args.out:
+            serialize.save_text(args.out, text)
+        else:
+            sys.stdout.write(text)
     except (OSError, ValueError) as exc:  # a JSON or grid-cap error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -167,6 +167,7 @@ def lift_to_obj(res: LiftResult) -> dict:
         "gamma_top": rational_str(res.gamma_top),
         "lifted_xi": dist_to_obj(res.lifted_xi),
         "lifted_eta": dist_to_obj(res.lifted_eta),
+        "gap": rational_obj(res.gap),
     }
 
 

@@ -448,6 +448,113 @@ class TestRepeatedCalls:
         assert built == []
 
 
+#: Runs whose bytes no other digest test pins, as (exit code, argv), each
+#: input named by its key in the `inputs` fixture.  `decompose` covers its
+#: three outcomes: equal means (c is null), a truncation and a refusal.
+OUTPUT_RUNS = [
+    (0, ["es", "coin", "--alpha", "1/3"]),
+    (0, ["es", "spread", "--alpha", "1/20"]),
+    (0, ["kantorovich", "zero", "coin"]),
+    (0, ["kantorovich", "spread", "third"]),
+    (0, ["lift", "two", "wide14"]),
+    (0, ["lift", "coin", "spread"]),
+    (0, ["decompose", "zero", "coin"]),
+    (0, ["decompose", "wide", "coin"]),
+    (1, ["decompose", "coin", "zero"]),
+    (0, ["mix", "zero", "two", "spread", "--weights", "1/2,1/3,1/6"]),
+    (0, ["quantize", "spread", "--denominator", "3"]),
+]
+
+#: One input error per subcommand, found at a different stage of the run:
+#: a missing or malformed file, a bad option value, or (`kantorovich`) an
+#: exact result too long to print.
+INPUT_ERRORS = {
+    "check": ["check", "ssd", "zero", "missing"],
+    "es": ["es", "coin", "--alpha", "0"],
+    "kantorovich": ["kantorovich", "up", "down"],
+    "certify": ["certify", "malformed", "zero"],
+    "mps": ["mps", "missing", "zero"],
+    "lift": ["lift", "zero", "missing"],
+    "decompose": ["decompose", "missing", "coin"],
+    "mix": ["mix", "zero", "two", "--weights", "1/2,1/3"],
+    "quantize": ["quantize", "coin", "--denominator", "0"],
+    "demo-lln": ["demo-lln", "--grid", "0"],
+}
+
+#: The exit-1 refusal reports that OUTPUT_RUNS does not write (its
+#: `decompose` refusal is one); other digest tests pin their bytes.
+REFUSED_RUNS = [
+    (1, ["check", "ssd", "coin", "zero"]),
+    (1, ["certify", "coin", "zero"]),
+    (1, ["mps", "zero", "two"]),
+]
+
+
+class TestOutputs:
+    """What a command writes, and where: stdout, or the `--out` file."""
+
+    @pytest.fixture
+    def inputs(self, files):
+        tmp = files["tmp"]
+
+        def write(name, text):
+            path = tmp / name
+            path.write_text(text)
+            return str(path)
+
+        laws = {
+            "spread": SimpleDist.from_pairs(
+                [(F(-5, 7), F(1, 5)), (F(1, 3), F(1, 2)), (F(9, 4), F(3, 10))]),
+            "third": dirac(F(1, 3)),
+            "wide": SimpleDist.from_pairs([(0, F(1, 2)), (2, F(1, 2))]),
+            "wide14": SimpleDist.from_pairs([(1, F(1, 2)), (4, F(1, 2))]),
+        }
+        paths = {name: write(f"{name}.json", dumps(dist_to_obj(d))) for name, d in laws.items()}
+        # both Diracs print (4300 digits each), their distance has 4301
+        paths["up"] = write("up.json", json.dumps({"atoms": [{"v": "9e4299", "p": "1"}]}))
+        paths["down"] = write("down.json", json.dumps({"atoms": [{"v": "-9e4299", "p": "1"}]}))
+        paths["malformed"] = write("malformed.json", '{"atoms": [')
+        paths["missing"] = str(tmp / "missing.json")
+        return {**files, **paths}
+
+    @staticmethod
+    def _argv(inputs, argv):
+        return [inputs.get(token, token) for token in argv]
+
+    def test_outputs_are_byte_identical_to_the_recorded_digest(self, inputs, capsys):
+        # Pins every byte of OUTPUT_RUNS.  The digest was recorded when each
+        # command still wrote its own text.
+        codes = []
+        digest = hashlib.sha256()
+        for _, argv in OUTPUT_RUNS:
+            codes.append(main(self._argv(inputs, argv)))
+            digest.update(capsys.readouterr().out.encode())
+        assert codes == [code for code, _ in OUTPUT_RUNS]
+        assert digest.hexdigest() == (
+            "009d4b67e2e0ad0ecaf60e1dfd6af73ca90be4091ce72fa33c5a8de58c13dba3"
+        )
+
+    @pytest.mark.parametrize("run", OUTPUT_RUNS + REFUSED_RUNS, ids=lambda run: " ".join(run[1]))
+    def test_out_writes_the_bytes_of_stdout(self, inputs, capsys, run):
+        code, argv = run
+        argv = self._argv(inputs, argv)
+        assert main(argv) == code
+        shown = capsys.readouterr().out
+        out_path = inputs["tmp"] / "out.txt"
+        assert main(argv + ["--out", str(out_path)]) == code
+        assert capsys.readouterr() == ("", "")
+        assert out_path.read_bytes() == shown.encode()
+
+    @pytest.mark.parametrize("command", list(INPUT_ERRORS))
+    def test_an_input_error_writes_no_file(self, inputs, capsys, command):
+        out_path = inputs["tmp"] / "out.txt"
+        assert main(self._argv(inputs, INPUT_ERRORS[command]) + ["--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out_path.exists()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
 class TestBadInput:
     """Malformed numbers are input errors: exit 2 with an `error:` line."""
 
