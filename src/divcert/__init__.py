@@ -11,7 +11,6 @@ from .certify import (
     CertificationError,
     DecompositionResult,
     LiftResult,
-    MajorizationError,
     MeansDifferError,
     SsdViolatedError,
     certify_bundle,
@@ -66,7 +65,6 @@ __all__ = [
     "GridCapError",
     "JointDist",
     "LiftResult",
-    "MajorizationError",
     "MartingaleCoupling",
     "MeansDifferError",
     "PermutationCertificate",

@@ -21,16 +21,18 @@ product, which holds D block by block.  The transfer chain is also the
 check that the pair holds: on the common grid, equal means and
 second-order dominance are majorization.  So a certified pair reads no
 Fraction mean and no SSD scan, and those checks explain a refusal only
-after the refinement or the chain has failed.  A transfer mixes two
-slots, so D is zero outside the components of the transfer chain, and
-each component is one dense k x k block of numerators over the common
-denominator L.  The coupling lists each row's nonzero cells from its
-block, over n * L, and the peel reads the blocks (`certify_bundle`
-returns both from one product); nothing here holds D as an n x n
-matrix.  The joint law is built from the numerators of eta's grid.  No
+after the refinement or the chain has failed; a chain that stops
+carries no witness of its own.  A transfer mixes two slots, so D is
+zero outside the components of the transfer chain, and each component
+is one dense k x k block of numerators over the common denominator L.
+The coupling lists each row's nonzero cells from its block, over n * L,
+and the peel reads the blocks (`certify_bundle` returns both from one
+product); nothing here holds D as an n x n matrix.  The joint law is built from the numerators of eta's grid.  No
 witness cell becomes a Fraction here: the witness types hold integer
 views, and they and the rules that make them valid are defined in
-`divcert.dominance` and `divcert.dist`; this module only builds them.
+`divcert.dominance` and `divcert.dist`; this module only builds them,
+and imports from `divcert.dominance` nothing but those classes: the
+checks and verifiers there stay independent of the construction.
 
 All constructions are deterministic: the transfer chain always picks the
 smallest deficient index and the smallest surplus index after it, and
@@ -66,12 +68,7 @@ from .dist import (
     _slot_scale,
     common_refinement,
 )
-from .dominance import (
-    MartingaleCoupling,
-    PermutationCertificate,
-    TTransform,
-    majorization_violation,
-)
+from .dominance import MartingaleCoupling, PermutationCertificate, TTransform
 from .matching import LexMinMatching
 from .risk import ssd_violation
 
@@ -112,12 +109,6 @@ class SsdViolatedError(CertificationError):
     def __init__(self, alpha: Fraction):
         super().__init__(f"second-order dominance violated at level {alpha}")
         self.alpha = alpha
-
-
-class MajorizationError(CertificationError):
-    def __init__(self, witness: int):
-        super().__init__(f"prefix-sum dominance violated at index {witness}")
-        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -177,9 +168,10 @@ def t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     holds a surplus at its own turn and every deficit finds a surplus
     slot after it; a chain that completes gives a = D b with D doubly
     stochastic, which implies majorization.  So the pass raises
-    MajorizationError, with `majorization_violation`'s witness, exactly
-    when a is not majorized by b, unequal totals included (the last
-    slot is then left with a surplus or a deficit).
+    CertificationError exactly when a is not majorized by b, unequal
+    totals included (the last slot is then left with a surplus or a
+    deficit).  It only decides; `divcert.dominance.majorization_violation`
+    finds where the prefix sums first fail.
 
     Every share s = t / (c[j] - c[i]) lies strictly between 0 and 1: t > 0
     and c[j] > a[j] >= a[i] > c[i].  If s = 1, then either a[i] = c[j] >
@@ -195,18 +187,18 @@ def t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     transforms = []
     j = 0
     for i in range(n):
-        if c[i] > target[i]:
-            raise MajorizationError(majorization_violation(a, b))
-        while c[i] != target[i]:
+        while c[i] < target[i]:
             j = max(j, i + 1)
             while j < n and c[j] <= target[j]:
                 j += 1
             if j == n:
-                raise MajorizationError(majorization_violation(a, b))
+                break
             t = min(target[i] - c[i], c[j] - target[j])
             transforms.append(TTransform(i, j, Fraction(t, c[j] - c[i])))
             c[i] += t
             c[j] -= t
+        if c[i] != target[i]:
+            raise CertificationError("a is not majorized by b")
     return tuple(transforms)
 
 
@@ -381,25 +373,27 @@ def _transfer_product(
     second-order dominance are majorization (Hardy, Littlewood and
     Polya), and the chain's forward pass completes exactly when a is
     majorized by b.  So a pair that holds reads no Fraction mean and no
-    SSD scan.  A refusal is explained after the refinement or the chain
+    SSD scan.  The chain's CertificationError only says that the pass
+    stopped; a refusal is explained after the refinement or the chain
     fails, by the checks in their fixed order: unequal means raise
     MeansDifferError, then a positive quantile-gap integral raises
     SsdViolatedError.  A pair that passes both is over a size limit, and
     its GridCapError is raised as it came.  A failed chain on a pair that
     passes both would contradict the theorem, so it is an AssertionError,
-    as a failed self-verification is.
+    as a failed self-verification is: a fault of divcert, which
+    `divcert` reports with exit 2.
     """
     try:
         a, b = common_refinement(xi, eta, CERTIFY_SLOT_CAP)
         blocks, L = _scaled_transfer_rows(a, b)
-    except (GridCapError, MajorizationError) as exc:
+    except (GridCapError, CertificationError) as exc:
         mean_xi, mean_eta = xi.mean(), eta.mean()
         if mean_xi != mean_eta:
             raise MeansDifferError(mean_xi, mean_eta) from None
         alpha = ssd_violation(xi, eta)
         if alpha is not None:
             raise SsdViolatedError(alpha) from None
-        if isinstance(exc, MajorizationError):
+        if isinstance(exc, CertificationError):
             raise AssertionError("the transfer chain failed on a pair that holds") from exc
         raise
     return a, b, blocks, L

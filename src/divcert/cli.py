@@ -4,13 +4,16 @@ Subcommands expose the library operations over JSON files; all numeric
 output carries both the exact rational and a 12-significant-digit
 decimal.  Exit codes follow one contract everywhere: 0 when the queried
 relation holds or the operation succeeds, 1 when a relation or
-precondition fails (the report says why), 2 on input or usage errors.
+precondition fails (the report says why), 2 on input or usage errors
+and on a fault of divcert itself (a failed self-check, an
+AssertionError), which is never a verdict on the inputs.
 
 Each `cmd_*` function returns its whole text and its exit code, and
 writes nothing; `main` alone writes that text, to the `--out` file or to
 stdout.  So nothing is written before a command returns: one that
 raises (on an input error, an exact result too long to print, a failed
-self-check) leaves stdout empty and no `--out` file.
+self-check) leaves stdout empty and no `--out` file, and `main` prints
+one `error:` line and returns 2.
 """
 
 from __future__ import annotations
@@ -233,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one `divcert` command, write its text and return its exit code.
 
-    May be called many times in one process; a usage error raises
-    SystemExit(2), as argparse does.
+    An input error or a fault prints one `error:` line to stderr and
+    returns 2.  May be called many times in one process; a usage error
+    raises SystemExit(2), as argparse does.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -243,7 +247,9 @@ def main(argv=None) -> int:
             serialize.save_text(args.out, text)
         else:
             sys.stdout.write(text)
-    except (OSError, ValueError) as exc:  # a JSON or grid-cap error is a ValueError
+    # a JSON or grid-cap error is a ValueError; a failed self-check, an
+    # AssertionError, is a fault of divcert and no verdict on the pair
+    except (OSError, ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     return code

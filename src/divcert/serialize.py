@@ -14,14 +14,16 @@ Every JSON file divcert writes is the text of ``json.dumps(obj, indent=2)
   permutation terms (0-based permutations), the witnessing joint law and
   the martingale coupling.  `coupling_text` writes the coupling of
   `divcert mps` with the same renderer.  Both render from the integer
-  views the witness types hold, with no tree in between: each distinct
-  value is printed once and every list is joined in C.  The joint law is
-  cut into runs of equal adjacent cells once (`JointDist.run_starts`,
-  which the div-2 check has already made), and each of its vectors is
-  written per run, a run of k cells as one string repeated k times.  A
-  bundle holds tens of thousands of scalars, and CPython's C encoder
-  does not handle `indent`: json.dumps(indent=2) would run its
-  pure-Python encoder on every one of them.
+  views the witness types hold, with no tree in between, and join every
+  list in C.  The joint's and the coupling's cells are rendered once per
+  distinct value; the term weights once per term, and the coupling's
+  row and column values once per slot.  The joint law is cut into runs
+  of equal adjacent cells once (`JointDist.run_starts`, which the div-2
+  check has already made), and each of its vectors is written per run,
+  a run of k cells as one string repeated k times.  A bundle holds tens
+  of thousands of scalars, and CPython's C encoder does not handle
+  `indent`: json.dumps(indent=2) would run its pure-Python encoder on
+  every one of them.
 * `dumps` serves every other report, from reject reports to lift tables:
   it is json.dumps(indent=2) itself, behind a walk that raises TypeError
   on a float or a non-str key.
@@ -40,7 +42,7 @@ from fractions import Fraction
 from operator import mul, sub
 
 from .certify import LiftResult
-from .dist import JointDist, SimpleDist, as_rational
+from .dist import JointDist, SimpleDist, as_rational, from_samples
 from .dominance import MartingaleCoupling, PermutationCertificate
 
 
@@ -298,8 +300,6 @@ def coupling_text(coupling: MartingaleCoupling) -> str:
 
 def load_samples_csv(path: str) -> SimpleDist:
     """Empirical distribution from a one-value-per-line CSV file."""
-    from .dist import from_samples
-
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:

@@ -45,10 +45,10 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from divcert import (
+    CertificationError,
     DecompositionResult,
     JointDist,
     LiftResult,
-    MajorizationError,
     MartingaleCoupling,
     PermutationCertificate,
     SimpleDist,
@@ -472,9 +472,8 @@ def naive_check_majorization(a: UniformGrid, b: UniformGrid) -> int | None:
 def naive_t_transform_chain(a: UniformGrid, b: UniformGrid) -> tuple[TTransform, ...]:
     """t_transform_chain on Fractions, rescanning for the smallest surplus
     index from i + 1 at every step."""
-    witness = naive_check_majorization(a, b)
-    if witness is not None:
-        raise MajorizationError(witness)
+    if naive_check_majorization(a, b) is not None:
+        raise CertificationError("a is not majorized by b")
     n = a.n
     c = list(b.values)
     target = a.values
