@@ -45,6 +45,7 @@ from .dominance import (
     majorization_violation,
     verify_div1_certificate,
     verify_div2_instance,
+    verify_mps_coupling,
 )
 from .risk import (
     ESCurve,
@@ -98,4 +99,5 @@ __all__ = [
     "t_transform_chain",
     "verify_div1_certificate",
     "verify_div2_instance",
+    "verify_mps_coupling",
 ]

@@ -42,6 +42,7 @@ from .dominance import (
     majorization_violation,
     verify_div1_certificate,
     verify_div2_instance,
+    verify_mps_coupling,
 )
 from .risk import _ssd_gap_and_violation, expected_shortfall
 from .serialize import decimal_str, dumps, load_dist, rational_obj, rational_str
@@ -110,6 +111,8 @@ def cmd_certify(args) -> tuple[str, int]:
         raise AssertionError("constructed certificate failed self-verification")
     if not verify_div2_instance(xi, eta, joint, cert.weights):
         raise AssertionError("witnessing joint law failed self-verification")
+    if not verify_mps_coupling(xi, eta, coupling):
+        raise AssertionError("martingale coupling failed self-verification")
     return serialize.bundle_text(cert, joint, coupling), OK
 
 
@@ -120,6 +123,8 @@ def cmd_mps(args) -> tuple[str, int]:
         coupling = mps_coupling(xi, eta)
     except CertificationError as exc:
         return dumps({"certified": False, "reason": str(exc)}), FAIL
+    if not verify_mps_coupling(xi, eta, coupling):
+        raise AssertionError("martingale coupling failed self-verification")
     return serialize.coupling_text(coupling), OK
 
 

@@ -42,10 +42,14 @@ law and the div-1 verifier) read them through `_slot_scale`, which
 scales each distinct value once and repeats its numerator over the
 atom's slots; the Fraction `values` are built only on first use.
 
-`as_rational` keeps no memo of the strings it has parsed, though a parsed
-bundle repeats a few values thousands of times: in a prototype, a
-per-document memo raised the audit benchmark's ops/s by about 90 % but
-also its peak RSS by 10 %, the bound of that metric.
+`as_rational` keeps no memo: it parses every string it is given.  A parsed
+bundle repeats a few values thousands of times, so the coupling parser
+(`serialize.coupling_from_obj`) keeps a table of the distinct strings it
+has parsed, for one call only, and reads the cells as integer numerators
+through it.  A table that outlived the call would keep every value of
+every document it had seen.  The joint parser still makes one Fraction
+per cell: with the same table the audit benchmark's ops/s rose by
+37 %, but its peak RSS by 11 %, past the 10 % bound of that metric.
 
 Two walkers are the only code that steps through two distributions
 together: `quantile_steps` over the merged cumulative probabilities,

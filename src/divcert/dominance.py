@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import mul, sub
 from typing import Iterator, Sequence
 
@@ -52,7 +52,6 @@ from .dist import (
     _least_scale,
     _run_starts,
     _runs,
-    _scale_rows,
     _slot_scale,
     cdf_steps,
     common_scale,
@@ -187,9 +186,9 @@ class MartingaleCoupling:
     Only the nonzero cells are held, as one integer view: row i is the
     pair (cols, nums) of its ascending columns and their numerators, so
     cell (i, cols[k]) is nums[k] / den, over the least such denominator,
-    and every other cell is zero.  The constructor takes that view;
-    `from_matrix` takes an n x n matrix of Fractions and scales it once.
-    `matrix` is the dense Fraction view."""
+    and every other cell is zero.  The constructor takes that view, and
+    so does the parser (`serialize.coupling_from_obj`), which scales each
+    distinct cell once.  `matrix` is the dense Fraction view."""
 
     n: int
     cells: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -240,21 +239,6 @@ class MartingaleCoupling:
             object.__setattr__(self, "cells", cells)
             object.__setattr__(self, "den", least)
 
-    @staticmethod
-    def from_matrix(n: int, matrix, row_values, col_values) -> "MartingaleCoupling":
-        """The coupling whose cell (i, j) is the Fraction matrix[i][j].  A
-        row of any length but n is listed against the n columns, so the
-        validator refuses it as not square, at its turn among the rows."""
-        listed = [
-            (tuple(compress(range(n), row)), tuple(filter(None, row)))
-            if len(row) == n
-            else (range(n), row)
-            for row in matrix
-        ]
-        nums, den = _scale_rows([cells for _, cells in listed])
-        cells = tuple((cols, row) for (cols, _), row in zip(listed, nums))
-        return MartingaleCoupling(n, cells, den, row_values, col_values)
-
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         den = self.den
@@ -299,6 +283,29 @@ def verify_div1_certificate(
     (vnums,), vden = _slot_scale(grid)
     acc, scale = cert._combine_on_scale(vnums, vden)
     return _dist_on_scale(Counter(acc), scale, cert.n) == xi
+
+
+def verify_mps_coupling(
+    xi: SimpleDist, eta: SimpleDist, coupling: MartingaleCoupling
+) -> bool:
+    """Check that a martingale coupling couples xi and eta: its row values
+    must be xi's slot values and its column values eta's, on a uniform
+    grid of coupling.n slots.  The coupling's own validator has checked
+    its marginals and martingale rows against those values, so together
+    they prove that eta is a mean-preserving spread of xi.
+
+    Raises ValueError when xi or eta does not fit a grid of coupling.n
+    slots; returns False when a value grid differs.
+    """
+    grids = []
+    for name, law in ("xi", xi), ("eta", eta):
+        try:
+            grids.append(UniformGrid(law, coupling.n))
+        except ValueError as exc:
+            raise ValueError(
+                f"coupling grid size {coupling.n} is incompatible with {name}"
+            ) from exc
+    return grids[0].values == coupling.row_values and grids[1].values == coupling.col_values
 
 
 def verify_div2_instance(

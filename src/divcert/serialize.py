@@ -24,9 +24,21 @@ Every JSON file divcert writes is the text of ``json.dumps(obj, indent=2)
   of thousands of scalars, and CPython's C encoder does not handle
   `indent`: json.dumps(indent=2) would run its pure-Python encoder on
   every one of them.
+  Each writer appends its pieces to one list that is joined once, so the
+  only large string built is the text itself, and each distinct cell
+  value is rendered from its integer numerator and denominator with one
+  gcd (`_ratio`).
 * `dumps` serves every other report, from reject reports to lift tables:
   it is json.dumps(indent=2) itself, behind a walk that raises TypeError
   on a float or a non-str key.
+
+The parsers check containers, keys and JSON types and raise ValueError
+on any malformed part, in document order.  `coupling_from_obj` parses
+each distinct string of the coupling once, into a table local to the
+call, and scales the matrix's distinct values to one denominator, so
+its rows go straight to the integer view `MartingaleCoupling` checks;
+`joint_from_obj` and `certificate_from_obj` make one Fraction per
+number.
 
 Distribution files look like::
 
@@ -37,12 +49,14 @@ from __future__ import annotations
 
 import decimal
 import json
+import math
 import sys
 from fractions import Fraction
+from itertools import chain, compress
 from operator import mul, sub
 
 from .certify import LiftResult
-from .dist import JointDist, SimpleDist, as_rational, from_samples
+from .dist import JointDist, SimpleDist, as_rational, common_scale, from_samples
 from .dominance import MartingaleCoupling, PermutationCertificate
 
 
@@ -128,6 +142,7 @@ def dist_from_obj(obj) -> SimpleDist:
 
 
 def joint_from_obj(obj) -> JointDist:
+    # one Fraction per cell: a per-call string table raised audit peak RSS 29.6 -> 32.9 MB
     _fields(obj, "joint JSON", "atoms")
     pairs = []
     for entry in _list(obj["atoms"], "atoms"):
@@ -151,14 +166,59 @@ def certificate_from_obj(obj) -> PermutationCertificate:
     return PermutationCertificate(n=_int(obj["n"], "n"), terms=tuple(terms))
 
 
+def _parse_once(xs, table: dict[str, Fraction], what: str) -> bool:
+    """Parse each distinct string of the JSON list `xs` that `table` lacks
+    into it, in document order; False, with nothing parsed, when `xs`
+    holds anything but strings.  1, 1.0 and true are equal dict keys, and
+    true must be refused, so only strings are keys."""
+    if not set(map(type, _list(xs, what))) <= {str}:
+        return False
+    for x in dict.fromkeys(xs):
+        if x not in table:
+            table[x] = as_rational(x)  # a string raises ValueError only
+    return True
+
+
 def coupling_from_obj(obj) -> MartingaleCoupling:
+    """The coupling of a JSON document, parsed straight to its integer view.
+
+    Each distinct string is parsed once, into a table that lives for this
+    call only; a list that holds anything but strings is parsed value by
+    value.  The distinct cell values are brought to their least common
+    denominator once, and each row's nonzero cells are read off as
+    numerators, so no cell becomes a Fraction of its own.  A row of any
+    length but n is listed against the n columns, so the validator
+    refuses it as not square, at its turn among the rows.  Errors come in
+    document order: the fields, n, each row's list check and then its
+    cells, row_values, col_values, and last the validator's.
+    """
     _fields(obj, "coupling JSON", "n", "row_values", "col_values", "matrix")
-    return MartingaleCoupling.from_matrix(
-        n=_int(obj["n"], "n"),
-        matrix=tuple(_rationals(row, "matrix row") for row in _list(obj["matrix"], "matrix")),
-        row_values=_rationals(obj["row_values"], "row_values"),
-        col_values=_rationals(obj["col_values"], "col_values"),
-    )
+    n = _int(obj["n"], "n")
+    table: dict[str, Fraction] = {}
+    rows = []  # (row, None), or (row, its Fractions) for a row not all strings
+    for row in _list(obj["matrix"], "matrix"):
+        rows.append((row, None if _parse_once(row, table, "matrix row")
+                     else _rationals(row, "matrix row")))
+    mixed = [xs for _, xs in rows if xs is not None]
+    nums, den = common_scale([*table.values(), *chain.from_iterable(mixed)])
+    scaled = dict(zip(table, nums))
+    values = []
+    for what in "row_values", "col_values":
+        xs = obj[what]
+        values.append(tuple(map(table.__getitem__, xs)) if _parse_once(xs, table, what)
+                      else _rationals(xs, what))
+    columns = range(n)
+    cells = []
+    for row, xs in rows:
+        if xs is None:
+            row = list(map(scaled.__getitem__, row))
+        else:
+            row = [den // x.denominator * x.numerator for x in xs]
+        if len(row) == n:
+            cells.append((tuple(compress(columns, row)), tuple(filter(None, row))))
+        else:
+            cells.append((columns, tuple(row)))
+    return MartingaleCoupling(n, tuple(cells), den, *values)
 
 
 def lift_to_obj(res: LiftResult) -> dict:
@@ -204,14 +264,25 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-# The witness writers.  Each takes `newline`, the line break and the
-# indentation of the depth its object opens at, and fills fixed templates;
-# the text equals `dumps` of the witness's JSON tree, the reference trees
-# of tests/oracles.py.  No list they write is empty: the witness
-# validators see to that.
+# The witness writers.  Each appends the pieces of its text to `out`, the
+# one list `bundle_text` or `coupling_text` joins once, and takes
+# `newline`, the line break and the indentation of the depth its object
+# opens at; the text equals `dumps` of the witness's JSON tree, the
+# reference trees of tests/oracles.py.  No list they write is empty: the
+# witness validators see to that.
 
 
-def _terms(cert: PermutationCertificate, newline: str) -> str:
+def _ratio(k: int, den: int) -> str:
+    """str(Fraction(k, den)) for den > 0, from one gcd and no Fraction.  A
+    text past the interpreter's digit limit fails as `rational_str` does."""
+    g = math.gcd(k, den)
+    try:
+        return str(k // g) if g == den else f"{k // g}/{den // g}"
+    except ValueError:
+        return rational_str(Fraction(k, den))
+
+
+def _terms(out: list[str], cert: PermutationCertificate, newline: str) -> None:
     """The certificate's "terms" list: {"perm": [...], "weight": "..."}."""
     item = newline + "  "
     field = item + "  "
@@ -220,19 +291,18 @@ def _terms(cert: PermutationCertificate, newline: str) -> str:
     sep = "," + slot
     head = f'{{{field}"perm": [{slot}'
     mid = f'{field}],{field}"weight": "'
-    tail = f'"{item}}}'
-    terms = ("," + item).join(
-        f"{head}{sep.join(map(slots.__getitem__, perm))}{mid}{rational_str(w)}{tail}"
-        for perm, w in cert.terms
-    )
-    return f"[{item}{terms}{newline}]"
+    tail = f'"{item}}},{item}'
+    out.append("[" + item)
+    for perm, w in cert.terms:
+        out += head, sep.join(map(slots.__getitem__, perm)), mid, rational_str(w), tail
+    out[-1] = f'"{item}}}{newline}]'
 
 
-def _joint(j: JointDist, newline: str) -> str:
+def _joint(out: list[str], j: JointDist, newline: str) -> None:
     """{"m": m, "atoms": [{"v": [...], "p": "..."}, ...]}
 
     Each vector is written run by run, on the cut the joint keeps
-    (`JointDist.run_starts`): a run of k equal cells is one string, its
+    (`JointDist.run_starts`): a run of k equal cells is one piece, its
     value's text and separator repeated k times.  Each distinct numerator
     is printed once: a vector of about 180 cells holds about 8 runs."""
     inner = newline + "  "
@@ -240,43 +310,40 @@ def _joint(j: JointDist, newline: str) -> str:
     field = atom + "  "
     cell = field + "  "
     sep = f'",{cell}"'
-    m = j.m
+    m, vden = j.m, j.vden
     firsts = [list(map(row.__getitem__, starts)) for row, starts in zip(j.rows, j.run_starts)]
-    piece = {k: rational_str(Fraction(k, j.vden)) + sep for k in set().union(*firsts)}
-
-    def cells(values: list[int], starts: list[int]) -> str:
-        lengths = map(sub, [*starts[1:], m], starts)
-        return "".join(map(mul, map(piece.__getitem__, values), lengths))[: -len(sep)]
-
-    mass = {k: rational_str(Fraction(k, j.pden)) for k in set(j.masses)}
-    head, mid, tail = f'{{{field}"v": [{cell}"', f'"{field}],{field}"p": "', f'"{atom}}}'
-    atoms = ("," + atom).join(
-        f"{head}{cells(values, starts)}{mid}{mass[k]}{tail}"
-        for values, starts, k in zip(firsts, j.run_starts, j.masses)
-    )
-    return f'{{{inner}"m": {m},{inner}"atoms": [{atom}{atoms}{inner}]{newline}}}'
+    piece = {k: _ratio(k, vden) + sep for k in set().union(*firsts)}
+    mass = {k: _ratio(k, j.pden) for k in set(j.masses)}
+    head, mid, tail = f'{{{field}"v": [{cell}"', f'"{field}],{field}"p": "', f'"{atom}}},{atom}'
+    out.append(f'{{{inner}"m": {m},{inner}"atoms": [{atom}')
+    for values, starts, k in zip(firsts, j.run_starts, j.masses):
+        out.append(head)
+        out += map(mul, map(piece.__getitem__, values), map(sub, [*starts[1:], m], starts))
+        out[-1] = out[-1][: -len(sep)]
+        out += mid, mass[k], tail
+    out[-1] = f'"{atom}}}{inner}]{newline}}}'
 
 
-def _coupling(c: MartingaleCoupling, newline: str) -> str:
+def _coupling(out: list[str], c: MartingaleCoupling, newline: str) -> None:
     """{"n": n, "row_values": [...], "col_values": [...], "matrix": [[...], ...]}"""
     inner = newline + "  "
     item = inner + "  "
     sep = f'",{item}"'
-    row_values = sep.join(map(rational_str, c.row_values))
-    col_values = sep.join(map(rational_str, c.col_values))
+    out += (
+        f'{{{inner}"n": {c.n},{inner}"row_values": [{item}"',
+        sep.join(map(rational_str, c.row_values)),
+        f'"{inner}],{inner}"col_values": [{item}"',
+        sep.join(map(rational_str, c.col_values)),
+        f'"{inner}],{inner}"matrix": [{item}',
+    )
     # every cell the coupling does not list is written "0"
-    text = {k: rational_str(Fraction(k, c.den)) for k in set().union(*(ns for _, ns in c.cells))}
+    den = c.den
+    text = {k: _ratio(k, den) for k in set().union(*(ns for _, ns in c.cells))}
     cell = item + "  "
-    head, comma, tail = f'[{cell}"', f'",{cell}"', f'"{item}]'
-    matrix = ("," + item).join(
-        [f"{head}{comma.join(row)}{tail}" for row in c._dense_rows("0", text.__getitem__)]
-    )
-    return (
-        f'{{{inner}"n": {c.n},'
-        f'{inner}"row_values": [{item}"{row_values}"{inner}],'
-        f'{inner}"col_values": [{item}"{col_values}"{inner}],'
-        f'{inner}"matrix": [{item}{matrix}{inner}]{newline}}}'
-    )
+    head, comma, tail = f'[{cell}"', f'",{cell}"', f'"{item}],{item}'
+    for row in c._dense_rows("0", text.__getitem__):
+        out += head, comma.join(row), tail
+    out[-1] = f'"{item}]{inner}]{newline}}}'
 
 
 def bundle_text(
@@ -285,17 +352,22 @@ def bundle_text(
     """The certified bundle `divcert certify` writes: the dumps text of
     {"certified": true, "n": ..., "terms": ..., "joint": ..., "coupling": ...}."""
     inner = "\n  "
-    return (
-        f'{{{inner}"certified": true,{inner}"n": {cert.n},'
-        f'{inner}"terms": {_terms(cert, inner)},'
-        f'{inner}"joint": {_joint(joint, inner)},'
-        f'{inner}"coupling": {_coupling(coupling, inner)}\n}}\n'
-    )
+    out = [f'{{{inner}"certified": true,{inner}"n": {cert.n},{inner}"terms": ']
+    _terms(out, cert, inner)
+    out.append(f',{inner}"joint": ')
+    _joint(out, joint, inner)
+    out.append(f',{inner}"coupling": ')
+    _coupling(out, coupling, inner)
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def coupling_text(coupling: MartingaleCoupling) -> str:
     """The martingale coupling `divcert mps` writes."""
-    return _coupling(coupling, "\n") + "\n"
+    out: list[str] = []
+    _coupling(out, coupling, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def load_samples_csv(path: str) -> SimpleDist:

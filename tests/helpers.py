@@ -180,7 +180,7 @@ def integer_view(matrix, factor: int = 2):
     pair (cols, nums) of its nonzero cells, over one denominator `factor`
     times the least one, which the constructor must cancel.  A row whose
     length is not the number of rows is paired with every column, as
-    `MartingaleCoupling.from_matrix` pairs it, so it is refused as not
+    `serialize.coupling_from_obj` pairs it, so it is refused as not
     square."""
     rows, den = _integer_rows(matrix, factor)
     n = len(rows)
@@ -191,6 +191,16 @@ def integer_view(matrix, factor: int = 2):
         for row in rows
     )
     return cells, den
+
+
+def coupling_document(n, matrix, row_values, col_values) -> dict:
+    """The JSON document of a coupling, every number as its exact string."""
+    return {
+        "n": n,
+        "row_values": list(map(str, row_values)),
+        "col_values": list(map(str, col_values)),
+        "matrix": [list(map(str, row)) for row in matrix],
+    }
 
 
 def joint_from_integers(atoms, factor: int = 2) -> JointDist:

@@ -27,7 +27,9 @@ JSON trees of the three witnesses, one rational_str per cell, that
 integer views straight to text (certificate_to_obj, naive_joint_to_obj,
 coupling_to_obj, bundle_obj), are kept the same way, as is the string
 parser that sent every string through Fraction's regex
-(naive_as_rational).
+(naive_as_rational), and the coupling parser that made one Fraction per
+cell and scaled the matrix after (naive_coupling_from_obj, through
+coupling_from_matrix).
 So are the transfer chain that rescanned for a surplus from i + 1 on
 Fractions at every step (naive_t_transform_chain), the majorization
 test that kept two Fraction prefix sums (naive_check_majorization), and
@@ -59,8 +61,8 @@ from divcert import (
     as_rational,
     ssd_violation,
 )
-from divcert import certify
-from divcert.dist import MAX_DECIMAL_EXPONENT, GridCapError
+from divcert import certify, serialize
+from divcert.dist import MAX_DECIMAL_EXPONENT, GridCapError, _scale_rows
 from divcert.matching import LexMinMatching
 from divcert.serialize import rational_str
 
@@ -593,6 +595,38 @@ def bundle_obj(
         "joint": naive_joint_to_obj(joint),
         "coupling": coupling_to_obj(coupling),
     }
+
+
+def coupling_from_matrix(n: int, matrix, row_values, col_values) -> MartingaleCoupling:
+    """The coupling whose cell (i, j) is the Fraction matrix[i][j], scaled
+    once over all its cells.  A row of any length but n is listed against
+    the n columns, so the validator refuses it as not square, at its turn
+    among the rows."""
+    listed = [
+        (tuple(itertools.compress(range(n), row)), tuple(filter(None, row)))
+        if len(row) == n
+        else (range(n), row)
+        for row in matrix
+    ]
+    nums, den = _scale_rows([cells for _, cells in listed])
+    cells = tuple((cols, row) for (cols, _), row in zip(listed, nums))
+    return MartingaleCoupling(n, cells, den, row_values, col_values)
+
+
+def naive_coupling_from_obj(obj) -> MartingaleCoupling:
+    """The coupling parser that read one Fraction per cell and then scaled
+    the matrix (coupling_from_matrix); its refusals, in their order, are
+    what the parser must give."""
+    serialize._fields(obj, "coupling JSON", "n", "row_values", "col_values", "matrix")
+    return coupling_from_matrix(
+        n=serialize._int(obj["n"], "n"),
+        matrix=tuple(
+            serialize._rationals(row, "matrix row")
+            for row in serialize._list(obj["matrix"], "matrix")
+        ),
+        row_values=serialize._rationals(obj["row_values"], "row_values"),
+        col_values=serialize._rationals(obj["col_values"], "col_values"),
+    )
 
 
 def naive_validate_coupling(n, matrix, row_values, col_values) -> None:

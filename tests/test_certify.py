@@ -684,7 +684,7 @@ class TestCouplingRejects:
         n, matrix, rows, cols, message = BROKEN_COUPLINGS[case]
         cells, den = helpers.integer_view(matrix)
         with pytest.raises(ValueError, match=message) as fractions_way:
-            MartingaleCoupling.from_matrix(n, matrix, rows, cols)
+            oracles.coupling_from_matrix(n, matrix, rows, cols)
         with pytest.raises(ValueError) as integers_way:
             MartingaleCoupling(n, cells, den, rows, cols)
         assert str(integers_way.value) == str(fractions_way.value)
@@ -692,19 +692,17 @@ class TestCouplingRejects:
     @pytest.mark.parametrize("case", sorted(BROKEN_COUPLINGS))
     def test_from_obj(self, case):
         n, matrix, rows, cols, message = BROKEN_COUPLINGS[case]
-        obj = {
-            "n": n,
-            "row_values": [str(v) for v in rows],
-            "col_values": [str(v) for v in cols],
-            "matrix": [[str(x) for x in row] for row in matrix],
-        }
-        with pytest.raises(ValueError, match=message):
+        obj = helpers.coupling_document(n, matrix, rows, cols)
+        with pytest.raises(ValueError, match=message) as parsed:
             coupling_from_obj(obj)
+        with pytest.raises(ValueError) as reference:
+            oracles.naive_coupling_from_obj(obj)
+        assert str(parsed.value) == str(reference.value)
 
     def test_the_unbroken_cases_pass(self):
         # the fixes of the cases above validate, so each case breaks one thing
-        MartingaleCoupling.from_matrix(2, ((HALF, 0), (0, HALF)), (F(0), F(1)), (F(0), F(1)))
-        MartingaleCoupling.from_matrix(2, ((Q, Q), (Q, Q)), (F(0), F(0)), (F(0), F(0)))
+        oracles.coupling_from_matrix(2, ((HALF, 0), (0, HALF)), (F(0), F(1)), (F(0), F(1)))
+        oracles.coupling_from_matrix(2, ((Q, Q), (Q, Q)), (F(0), F(0)), (F(0), F(0)))
 
 
 class TestLift:

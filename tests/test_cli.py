@@ -554,6 +554,12 @@ FAULTS = {
     "certify verify_div2": (cli, "verify_div2_instance", lambda *args: False,
                             ["certify", "two", "pair13"],
                             "witnessing joint law failed self-verification"),
+    "certify coupling": (cli, "verify_mps_coupling", lambda *args: False,
+                         ["certify", "two", "pair13"],
+                         "martingale coupling failed self-verification"),
+    "mps coupling": (cli, "verify_mps_coupling", lambda *args: False,
+                     ["mps", "two", "pair13"],
+                     "martingale coupling failed self-verification"),
     "kantorovich": (cli, "kantorovich_cdf", lambda a, b: F(-1),
                     ["kantorovich", "zero", "coin"],
                     "the two transport representations disagree"),

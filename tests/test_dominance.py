@@ -13,6 +13,7 @@ import helpers
 import oracles
 from divcert import (
     JointDist,
+    certify_bundle,
     MartingaleCoupling,
     certify_div1,
     PermutationCertificate,
@@ -27,8 +28,10 @@ from divcert import (
     fsd_violation,
     majorization_violation,
     ssd_violation,
+    mps_coupling,
     verify_div1_certificate,
     verify_div2_instance,
+    verify_mps_coupling,
 )
 
 COIN = SimpleDist.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -255,6 +258,39 @@ class TestVerifiers:
             assert verify_div1_certificate(xi, eta, cert)
             assert check_ssd(xi, eta)
             assert xi.mean() == eta.mean()
+
+
+class TestCouplingVerifier:
+    """A coupling's validator checks its marginals and martingale rows only
+    against its own value grids; `verify_mps_coupling` checks those grids
+    against the pair."""
+
+    ETA = SimpleDist.from_pairs([(1, F(1, 2)), (3, F(1, 2))])
+
+    def test_a_coupling_of_another_pair_is_refused(self):
+        other = mps_coupling(dirac(5), SimpleDist.from_pairs([(4, F(1, 2)), (6, F(1, 2))]))
+        assert not verify_mps_coupling(dirac(2), self.ETA, other)
+        assert verify_mps_coupling(dirac(2), self.ETA, mps_coupling(dirac(2), self.ETA))
+
+    def test_each_grid_is_checked(self):
+        coupling = mps_coupling(dirac(2), self.ETA)
+        assert not verify_mps_coupling(dirac(3), self.ETA, coupling)  # row values
+        wider = SimpleDist.from_pairs([(0, F(1, 2)), (4, F(1, 2))])
+        assert not verify_mps_coupling(dirac(2), wider, coupling)  # column values
+
+    @pytest.mark.parametrize("side", ["xi", "eta"])
+    def test_a_law_that_does_not_fit_raises(self, side):
+        thirds = SimpleDist.from_pairs([(0, F(1, 3)), (3, F(2, 3))])
+        coupling = mps_coupling(dirac(2), self.ETA)
+        pair = (thirds, self.ETA) if side == "xi" else (dirac(2), thirds)
+        with pytest.raises(ValueError, match=f"grid size 2 is incompatible with {side}$"):
+            verify_mps_coupling(*pair, coupling)
+
+    def test_every_certified_coupling_passes(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            xi, eta = helpers.mps_pair(rng, base_atoms=3, max_doublings=2)
+            assert verify_mps_coupling(xi, eta, certify_bundle(xi, eta)[2])
 
 
 class TestRefusalRules:

@@ -13,7 +13,9 @@ view a joint law holds.  The joints drawn here come in by both ways:
 from Fractions (one shared object per value, or equal values in distinct
 objects, as a parsed bundle has them) and from integers over a
 denominator above the least, as certify hands them over.  For a joint
-law and for a coupling, both ways in must give equal objects.
+law, both ways in must give equal objects; for a coupling, the parser of
+its JSON document and the integer constructor must, and both must equal
+the Fraction reference (`oracles.coupling_from_matrix`).
 
 The transfer chain and the majorization test run on integer numerators
 too, the chain in one forward pass; on drawn grids they must return the
@@ -63,7 +65,7 @@ from divcert import (
     verify_div2_instance,
 )
 from divcert.dist import _run_starts, _runs, _simplex_scale, _slot_scale, common_scale
-from divcert.serialize import _joint, dumps, joint_from_obj
+from divcert.serialize import _joint, coupling_from_obj, dumps, joint_from_obj
 
 #: value denominators are 2^a 3^b; weight denominators come from the drawn
 #: weight totals, so they are often coprime to them (5, 7, 11, 13, ...)
@@ -447,7 +449,8 @@ class TestSums:
         matrix = data.draw(perturbed(matrix))
         args = (n, matrix, tuple(row_values), col_values)
         expected = failure(lambda: oracles.naive_validate_coupling(*args))
-        assert failure(lambda: MartingaleCoupling.from_matrix(*args)) == expected
+        assert failure(lambda: oracles.coupling_from_matrix(*args)) == expected
+        assert failure(lambda: coupling_from_obj(helpers.coupling_document(*args))) == expected
         cells, den = helpers.integer_view(matrix, data.draw(st.integers(1, 6)))
         assert failure(
             lambda: MartingaleCoupling(n, cells, den, tuple(row_values), col_values)
@@ -533,15 +536,18 @@ class TestIntegerView:
         row_values = tuple(n * sum(map(F.__mul__, row, cols)) for row in matrix)
         cells, den = helpers.integer_view(matrix, factor)
         built = MartingaleCoupling(n, cells, den, row_values, cols)
-        parsed = MartingaleCoupling.from_matrix(n, matrix, row_values, cols)
+        parsed = coupling_from_obj(helpers.coupling_document(n, matrix, row_values, cols))
         assert built == parsed and hash(built) == hash(parsed)
+        assert parsed == oracles.coupling_from_matrix(n, matrix, row_values, cols)
         assert built.matrix == parsed.matrix == matrix
         assert (built.cells, built.den) == (parsed.cells, parsed.den)
 
     @given(joints())
     @example(JointDist(((2, 6), (4, 2)), 4, (2, 2), 4))  # both scales cancel by 2
     def test_joint_to_obj(self, j):
-        text = _joint(j, "\n")
+        out = []
+        _joint(out, j, "\n")
+        text = "".join(out)
         obj = json.loads(text)
         assert obj == oracles.naive_joint_to_obj(j)
         assert text + "\n" == dumps(obj)
@@ -636,8 +642,8 @@ class TestEdges:
         assert convex_combination(j, [1]) == j.marginal(0)
         cert = PermutationCertificate(n=1, terms=(((0,), F(1)),))
         assert cert._combine_on_scale([-7], 3) == ([-7], 3)
-        assert MartingaleCoupling.from_matrix(1, ((F(1),),), (F(2, 5),), (F(2, 5),))
+        assert coupling_from_obj(helpers.coupling_document(1, ((F(1),),), (F(2, 5),), (F(2, 5),)))
 
     def test_empty_coupling_is_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            MartingaleCoupling.from_matrix(0, (), (), ())
+            coupling_from_obj(helpers.coupling_document(0, (), (), ()))

@@ -1,6 +1,7 @@
 """Wire formats: exactness and byte-stable round trips."""
 
 import fractions
+import gc
 import itertools
 import json
 import random
@@ -26,6 +27,7 @@ from divcert import (
     mps_coupling,
     verify_div1_certificate,
     verify_div2_instance,
+    verify_mps_coupling,
 )
 from divcert.serialize import (
     bundle_text,
@@ -69,8 +71,56 @@ def _coupling(**fields) -> dict:
     return {"n": 1, "row_values": ["0"], "col_values": ["0"], "matrix": [["1"]], **fields}
 
 
+#: an n = 4 pair whose coupling rows hold two nonzero cells each
+BAD_CELL_PAIR = (
+    SimpleDist.from_pairs([(0, F(1, 2)), (2, F(1, 2))]),
+    SimpleDist.from_pairs([(-1, F(1, 4)), (1, F(1, 2)), (3, F(1, 4))]),
+)
+
+#: what a bad matrix cell is replaced with; "short_row" drops the cell and
+#: "true_beside_1" also writes the JSON int 1 in the next cell of its row
+#: (cyclically), where the row has another cell
+BAD_CELLS = {
+    "null": None,
+    "true_beside_1": True,
+    "list": [],
+    "object": {},
+    "zero_denominator": "1/0",
+    "junk": "x",
+    "huge_exponent": "1e5000",
+    "short_row": None,
+    "negative": "-1/8",
+}
+
+
+def bad_cell_document(doc: dict, kind: str, i: int, j: int) -> dict:
+    """The coupling document `doc` with its matrix cell (i, j) made bad."""
+    doc = json.loads(json.dumps(doc))
+    row = doc["matrix"][i]
+    if kind == "short_row":
+        del row[j]
+    else:
+        row[j] = BAD_CELLS[kind]
+        if kind == "true_beside_1" and len(row) > 1:
+            row[(j + 1) % len(row)] = 1
+    return doc
+
+
+def _bad_cells() -> dict:
+    """One bad cell of each kind, at a row and column drawn once."""
+    doc = json.loads(coupling_text(mps_coupling(*BAD_CELL_PAIR)))
+    rng = random.Random(30)
+    return {
+        f"coupling_cell_{kind}": (
+            coupling_from_obj, bad_cell_document(doc, kind, rng.randrange(4), rng.randrange(4))
+        )
+        for kind in BAD_CELLS
+    }
+
+
 #: bundle parts that must be refused with ValueError: a missing key, a
-#: wrong container, or a JSON float or boolean where an integer belongs
+#: wrong container, a JSON float or boolean where an integer belongs, or
+#: a coupling cell that is no exact number, or that breaks the coupling
 MALFORMED_BUNDLE_PARTS = {
     "term_without_weight": (certificate_from_obj, {"n": 2, "terms": [{"perm": [0, 1]}]}),
     "term_not_an_object": (certificate_from_obj, {"n": 1, "terms": [[[0], "1"]]}),
@@ -85,6 +135,7 @@ MALFORMED_BUNDLE_PARTS = {
     "coupling_empty_object": (coupling_from_obj, {}),
     "coupling_bool_n": (coupling_from_obj, _coupling(n=True)),
     "coupling_row_not_a_list": (coupling_from_obj, _coupling(matrix=[5])),
+    **_bad_cells(),
 }
 
 
@@ -173,6 +224,17 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             parse(obj)
 
+    @pytest.mark.parametrize("obj", [
+        obj for parse, obj in MALFORMED_BUNDLE_PARTS.values() if parse is coupling_from_obj
+    ], ids=[name for name, (parse, _) in MALFORMED_BUNDLE_PARTS.items()
+            if parse is coupling_from_obj])
+    def test_malformed_couplings_fail_as_the_fraction_parser_does(self, obj):
+        with pytest.raises(ValueError) as parsed:
+            coupling_from_obj(obj)
+        with pytest.raises(ValueError) as reference:
+            oracles.naive_coupling_from_obj(obj)
+        assert str(parsed.value) == str(reference.value)
+
 
 def _wire(xi, eta) -> dict:
     """The bundle text `divcert certify` writes, read back, its three parts
@@ -186,12 +248,14 @@ def _wire(xi, eta) -> dict:
 
 
 def _verdict(xi, eta, obj) -> bool:
-    """*_from_obj -> both verifiers; a parse or validation error raises."""
+    """*_from_obj -> the three verifiers; a parse or validation error raises."""
     cert = certificate_from_obj(obj["certificate"])
     joint = joint_from_obj(obj["joint"])
-    coupling_from_obj(obj["coupling"])
-    return verify_div1_certificate(xi, eta, cert) and verify_div2_instance(
-        xi, eta, joint, cert.weights
+    coupling = coupling_from_obj(obj["coupling"])
+    return (
+        verify_div1_certificate(xi, eta, cert)
+        and verify_div2_instance(xi, eta, joint, cert.weights)
+        and verify_mps_coupling(xi, eta, coupling)
     )
 
 
@@ -278,6 +342,16 @@ class TestTamperRoundTrip:
                 _verdict(xi, eta, obj)
             tampered += 1
         assert tampered >= 8
+
+    def test_coupling_of_another_pair(self):
+        """A coupling that is valid on its own value grids, but of another
+        pair: its rows average back to 5, not to xi's 2."""
+        xi, eta = dirac(2), SimpleDist.from_pairs([(1, F(1, 2)), (3, F(1, 2))])
+        obj = _wire(xi, eta)
+        other = mps_coupling(dirac(5), SimpleDist.from_pairs([(4, F(1, 2)), (6, F(1, 2))]))
+        obj["coupling"] = json.loads(coupling_text(other))
+        assert _verdict(xi, eta, _wire(xi, eta))
+        assert not _verdict(xi, eta, obj)
 
 
 def _inner_runs(cells, min_len):
@@ -493,6 +567,85 @@ class TestWitnessWriters:
                 assert str(written.value) == str(built.value)
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def _respelled(x: F, how: int):
+    """x in one of the spellings a JSON document may give it: the canonical
+    string, the string over a doubled denominator, a decimal string when x
+    has one, or a JSON int when x is an integer."""
+    if how == 1:
+        return f"{2 * x.numerator}/{2 * x.denominator}"
+    if how == 2 and 10**6 % x.denominator == 0:
+        return f"{x.numerator * (10**6 // x.denominator)}e-6"
+    if how == 3 and x.denominator == 1:
+        return x.numerator
+    return str(x)
+
+
+class TestCouplingParser:
+    """The coupling parser reads each distinct cell string once and scales
+    straight to the integer view; the Fraction parser it replaced
+    (`oracles.naive_coupling_from_obj`, one Fraction per cell) defines the
+    object it must build and the ValueError it must raise."""
+
+    @given(spread_pairs(), st.data())
+    @example(BAD_CELL_PAIR, None)
+    @example(CANCELLING, None)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_fraction_parser(self, pair, data):
+        coupling = mps_coupling(*pair)
+        doc = json.loads(coupling_text(coupling))
+        if data is not None:  # the same values, some spelled another way
+            doc["matrix"] = [
+                [_respelled(F(x), data.draw(st.integers(0, 3))) for x in row]
+                for row in doc["matrix"]
+            ]
+        parsed = coupling_from_obj(doc)
+        assert parsed == oracles.naive_coupling_from_obj(doc) == coupling
+        assert (parsed.cells, parsed.den) == (coupling.cells, coupling.den)
+
+    @given(spread_pairs(), st.sampled_from(sorted(BAD_CELLS)), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_a_bad_cell_fails_as_the_fraction_parser_does(self, pair, kind, data):
+        doc = json.loads(coupling_text(mps_coupling(*pair)))
+        n = doc["n"]
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        doc = bad_cell_document(doc, kind, i, j)
+        with pytest.raises(ValueError) as reference:
+            oracles.naive_coupling_from_obj(doc)
+        with pytest.raises(ValueError) as parsed:
+            coupling_from_obj(doc)
+        assert str(parsed.value) == str(reference.value)
+
+    def test_no_table_outlives_the_call(self):
+        """Parsing one n = 16 document 200 times leaves traced memory
+        within a few KB of where it started: no table of parsed strings
+        survives a call (one would keep this document's 154 values, about
+        19 KB).  The warm-up parses the same values spelled "2p/2q", so the
+        interpreter's caches fill and a kept table would not yet hold this
+        document's strings; a full collection empties the free lists, which
+        keep freed tuples as traced memory, before the last reading."""
+        xi, eta = helpers.spread_pair(random.Random(11), 2, 3)
+        doc = json.loads(coupling_text(mps_coupling(xi, eta)))
+        assert doc["n"] == 16
+        warm_up = {
+            "n": 16,
+            "row_values": [_respelled(F(x), 1) for x in doc["row_values"]],
+            "col_values": [_respelled(F(x), 1) for x in doc["col_values"]],
+            "matrix": [[_respelled(F(x), 1) for x in row] for row in doc["matrix"]],
+        }
+        gc.collect()
+        coupling_from_obj(warm_up)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                coupling_from_obj(doc)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 8192
 
 
 class TestRenderings:
